@@ -1,13 +1,13 @@
 #include "algo/bigreedy.h"
 
 #include <algorithm>
-
-#include "api/registry.h"
-#include <cassert>
 #include <cmath>
+#include <functional>
 #include <queue>
 
+#include "api/registry.h"
 #include "common/random.h"
+#include "common/simd.h"
 #include "common/stopwatch.h"
 #include "core/artifact_cache.h"
 #include "fairness/matroid.h"
@@ -17,8 +17,9 @@ namespace fairhms {
 
 namespace {
 
-/// Lazy-greedy priority queue entry: a candidate with its (possibly stale)
-/// marginal gain and the selection size at which the gain was computed.
+/// Lazy-greedy priority queue entry: a candidate with an upper bound on its
+/// marginal gain and the selection size at which that bound was exact (-1 =
+/// never: a seed bound).
 struct LazyEntry {
   double gain;
   int row;
@@ -29,6 +30,85 @@ struct LazyEntry {
   }
 };
 
+/// One matroid-greedy round on mhr_tau from the empty set: repeatedly adds
+/// the feasible row of largest gain (smallest row on ties) that is not in
+/// `used` until the selection is maximal, marking every added row in
+/// `used`, and returns the selection in pick order. Counts exact gain
+/// evaluations in `gain_evals`.
+///
+/// Lazy mode keeps a heap of gain upper bounds: stale keys are bounds by
+/// submodularity (each gain term is monotone in the current set, and so is
+/// its rounded sum), so the top entry, once exact, is the argmax. Cached
+/// rows are seeded without a gain pass: from the empty set a row's gain is
+/// the canonical sum of min(h_j, tau), bounded by its FullGain (h_j) and by
+/// the same-order sum of m copies of tau; at tau >= 1 the seed is exact.
+std::vector<int> GreedyRound(const ProblemInput& input,
+                             const NetEvaluator* eval,
+                             const FairnessMatroid& matroid, double tau,
+                             bool lazy, std::vector<bool>* used,
+                             int64_t* gain_evals) {
+  TruncatedMhrState state(eval);
+  FairSelection sel(&matroid, input.grouping);
+  auto gain = [&](int row) {
+    ++*gain_evals;
+    return state.MarginalGain(row, tau);
+  };
+  auto add = [&](int row) {
+    sel.Add(row);
+    state.Add(row);
+    (*used)[static_cast<size_t>(row)] = true;
+  };
+
+  if (!lazy) {
+    // Plain greedy: full candidate re-scan per insertion (ablation).
+    while (!sel.IsMaximal()) {
+      int best_row = -1;
+      double best_gain = -1.0;
+      for (int row : input.pool) {
+        if ((*used)[static_cast<size_t>(row)] || !sel.CanAdd(row)) continue;
+        const double g = gain(row);
+        if (g > best_gain || (g == best_gain && row < best_row)) {
+          best_gain = g;
+          best_row = row;
+        }
+      }
+      if (best_row < 0) break;
+      add(best_row);
+    }
+    return sel.rows();
+  }
+
+  const double m = static_cast<double>(eval->net_size());
+  const double cap = simd::RepeatSum(tau, eval->net_size());
+  const int seed_stamp = tau >= 1.0 ? 0 : -1;
+  std::vector<LazyEntry> seeds;
+  seeds.reserve(input.pool.size());
+  for (int row : input.pool) {
+    if ((*used)[static_cast<size_t>(row)]) continue;
+    if (eval->cached_row(row) != nullptr) {
+      seeds.push_back(
+          {std::min(eval->FullGain(row), cap) / m, row, seed_stamp});
+    } else {
+      seeds.push_back({gain(row), row, 0});
+    }
+  }
+  std::priority_queue<LazyEntry> pq(std::less<LazyEntry>(), std::move(seeds));
+
+  while (!pq.empty() && !sel.IsMaximal()) {
+    LazyEntry top = pq.top();
+    pq.pop();
+    if (!sel.CanAdd(top.row)) continue;  // Permanently infeasible now.
+    if (top.stamp == sel.size()) {
+      add(top.row);
+    } else {
+      top.gain = gain(top.row);
+      top.stamp = sel.size();
+      pq.push(top);
+    }
+  }
+  return sel.rows();
+}
+
 /// One MRGreedy invocation (paper Algorithm 3, lines 10-22).
 ///
 /// Returns true when the capped target was certified; `out_rows` then holds
@@ -37,8 +117,8 @@ struct LazyEntry {
 /// (multi-round unions would be infeasible anyway).
 bool MrGreedy(const ProblemInput& input, const NetEvaluator* eval, double tau,
               int gamma, double eps, bool strict, bool lazy,
-              std::vector<int>* out_rows, int* rounds_used) {
-  const Grouping& grouping = *input.grouping;
+              std::vector<int>* out_rows, int* rounds_used,
+              int64_t* gain_evals) {
   const FairnessMatroid matroid(input.bounds);
   const double m = static_cast<double>(eval->net_size());
   const double target = (1.0 - eps / (2.0 * m)) * tau;
@@ -49,59 +129,16 @@ bool MrGreedy(const ProblemInput& input, const NetEvaluator* eval, double tau,
 
   const int max_rounds = strict ? 1 : gamma;
   for (int round = 1; round <= max_rounds; ++round) {
-    TruncatedMhrState round_state(eval);
-    FairSelection sel(&matroid, &grouping);
-
-    if (lazy) {
-      std::priority_queue<LazyEntry> pq;
-      for (int row : input.pool) {
-        if (used[static_cast<size_t>(row)]) continue;
-        pq.push({round_state.MarginalGain(row, tau), row, 0});
-      }
-
-      while (!pq.empty() && !sel.IsMaximal()) {
-        LazyEntry top = pq.top();
-        pq.pop();
-        if (!sel.CanAdd(top.row)) continue;  // Permanently infeasible now.
-        if (top.stamp == sel.size()) {
-          sel.Add(top.row);
-          round_state.Add(top.row);
-          union_state.Add(top.row);
-        } else {
-          top.gain = round_state.MarginalGain(top.row, tau);
-          top.stamp = sel.size();
-          pq.push(top);
-        }
-      }
-    } else {
-      // Plain greedy: full candidate re-scan per insertion (ablation).
-      while (!sel.IsMaximal()) {
-        int best_row = -1;
-        double best_gain = -1.0;
-        for (int row : input.pool) {
-          if (used[static_cast<size_t>(row)] || !sel.CanAdd(row)) continue;
-          const double gain = round_state.MarginalGain(row, tau);
-          if (gain > best_gain ||
-              (gain == best_gain && best_row >= 0 && row < best_row)) {
-            best_gain = gain;
-            best_row = row;
-          }
-        }
-        if (best_row < 0) break;
-        sel.Add(best_row);
-        round_state.Add(best_row);
-        union_state.Add(best_row);
-      }
-    }
-
-    for (int row : sel.rows()) {
-      used[static_cast<size_t>(row)] = true;
+    std::vector<int> round_rows =
+        GreedyRound(input, eval, matroid, tau, lazy, &used, gain_evals);
+    for (int row : round_rows) {
+      union_state.Add(row);
       union_rows.push_back(row);
     }
     *rounds_used = round;
 
     if (union_state.TruncatedValue(tau) >= target) {
-      *out_rows = strict ? sel.rows() : union_rows;
+      *out_rows = strict ? std::move(round_rows) : union_rows;
       return true;
     }
   }
@@ -111,26 +148,11 @@ bool MrGreedy(const ProblemInput& input, const NetEvaluator* eval, double tau,
 /// Fallback when no capped value certifies (degenerate nets / tiny pools):
 /// a single matroid-greedy fill on the untruncated average happiness.
 std::vector<int> GreedyFill(const ProblemInput& input,
-                            const NetEvaluator* eval) {
+                            const NetEvaluator* eval, int64_t* gain_evals) {
   const FairnessMatroid matroid(input.bounds);
-  FairSelection sel(&matroid, input.grouping);
-  TruncatedMhrState state(eval);
-  std::priority_queue<LazyEntry> pq;
-  for (int row : input.pool) pq.push({state.MarginalGain(row, 1.0), row, 0});
-  while (!pq.empty() && !sel.IsMaximal()) {
-    LazyEntry top = pq.top();
-    pq.pop();
-    if (!sel.CanAdd(top.row)) continue;
-    if (top.stamp == sel.size()) {
-      sel.Add(top.row);
-      state.Add(top.row);
-    } else {
-      top.gain = state.MarginalGain(top.row, 1.0);
-      top.stamp = sel.size();
-      pq.push(top);
-    }
-  }
-  return sel.rows();
+  std::vector<bool> used(input.data->size(), false);
+  return GreedyRound(input, eval, matroid, 1.0, /*lazy=*/true, &used,
+                     gain_evals);
 }
 
 size_t DefaultNetSize(const BiGreedyOptions& opts, int k, int d) {
@@ -171,7 +193,8 @@ StatusOr<Solution> BiGreedyOnNet(const ProblemInput& input,
   auto attempt = [&](int j, std::vector<int>* rows, int* rounds) {
     ++run.mrgreedy_calls;
     return MrGreedy(input, eval, tau_at(j), gamma, opts.eps,
-                    opts.strict_feasible, opts.lazy, rows, rounds);
+                    opts.strict_feasible, opts.lazy, rows, rounds,
+                    &run.gain_evals);
   };
 
   if (opts.tau_search == TauSearch::kBinary) {
@@ -269,7 +292,7 @@ StatusOr<Solution> BiGreedyOnNet(const ProblemInput& input,
   }
 
   if (best_tau < 0.0) {
-    best_rows = GreedyFill(input, eval);
+    best_rows = GreedyFill(input, eval, &run.gain_evals);
     best_tau = 0.0;
     best_rounds = 1;
   }

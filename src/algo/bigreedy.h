@@ -54,9 +54,12 @@ struct BiGreedyOptions {
   /// size <= gamma * k with gamma-scaled bounds (the bicriteria object of
   /// Lemma 4.5).
   bool strict_feasible = true;
-  /// Lazy (priority-queue) marginal-gain evaluation. The plain variant
-  /// re-scans every candidate per insertion; identical output, kept as an
-  /// ablation knob.
+  /// Lazy (priority-queue) marginal-gain evaluation, seeded from cached
+  /// per-row gain bounds (NetEvaluator::FullGain) so no tau probe pays a
+  /// full gain pass before its first pick. The plain variant re-scans every
+  /// candidate per insertion. Both pick the same (largest gain, smallest
+  /// row) argmax at every step, so the selected rows are identical; kept as
+  /// an ablation knob.
   bool lazy = true;
   uint64_t seed = 13;
   /// Evaluation-engine lanes for the net denominator precompute, candidate
@@ -97,6 +100,7 @@ struct BiGreedyRunInfo {
   int mrgreedy_calls = 0; ///< Outer-loop decision calls.
   int tau_index = -1;     ///< Certified grid index (-1 = greedy fallback).
   bool warm_start_used = false;  ///< Warm hint accepted; cold search skipped.
+  int64_t gain_evals = 0;  ///< Exact marginal-gain evaluations, all calls.
 };
 
 /// Runs BiGreedy end to end (builds the net internally).

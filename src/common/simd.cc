@@ -510,6 +510,16 @@ double TruncSum(const double* cur, size_t n, double tau) {
   return Active()->trunc_sum(cur, n, tau);
 }
 
+double RepeatSum(double x, size_t n) {
+  // The four canonical lanes hold the same partial sum.
+  double lane = 0.0;
+  const size_t n4 = n & ~(kSumLanes - 1);
+  for (size_t j = 0; j < n4; j += kSumLanes) lane += x;
+  double total = (lane + lane) + (lane + lane);
+  for (size_t j = n4; j < n; ++j) total += x;
+  return total;
+}
+
 double MinReduce(const double* x, size_t n) {
   return Active()->min_reduce(x, n);
 }

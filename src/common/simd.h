@@ -364,6 +364,10 @@ double TruncGainEval(const double* const* net, size_t m, const double* p,
 /// Canonical-order sum of min(cur[j], tau).
 double TruncSum(const double* cur, size_t n, double tau);
 
+/// Canonical-order sum of n copies of x: TruncSum of a row holding x in
+/// every slot, with tau >= x. Scalar at every level (O(n / kSumLanes)).
+double RepeatSum(double x, size_t n);
+
 /// Exact minimum of x[0..n); 1.0 when n == 0 (mhr convention).
 double MinReduce(const double* x, size_t n);
 

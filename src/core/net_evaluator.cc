@@ -145,6 +145,14 @@ void NetEvaluator::CacheCandidates(const std::vector<int>& rows,
       }
     }
   });
+  // A second pass over whole rows, since the canonical sum order spans
+  // every tile of a row.
+  full_gain_.resize(rows.size());
+  ParallelFor(threads_, rows.size(), [&](size_t i0, size_t i1) {
+    for (size_t i = i0; i < i1; ++i) {
+      full_gain_[i] = simd::TruncSum(&cache_[i * m], m, 1.0);
+    }
+  });
 }
 
 TruncatedMhrState::TruncatedMhrState(const NetEvaluator* eval)

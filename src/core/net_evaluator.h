@@ -62,8 +62,8 @@ class NetEvaluator {
   double Mhr(const std::vector<int>& rows) const;
 
   /// Optionally caches the happiness rows of the given candidate rows for
-  /// O(m) lookups inside greedy loops. Caching is skipped when it would
-  /// exceed `max_entries` matrix cells.
+  /// O(m) lookups inside greedy loops, plus each row's FullGain. Caching is
+  /// skipped when it would exceed `max_entries` matrix cells.
   void CacheCandidates(const std::vector<int>& rows,
                        size_t max_entries = 40'000'000);
 
@@ -74,11 +74,25 @@ class NetEvaluator {
     return off < 0 ? nullptr : &cache_[static_cast<size_t>(off)];
   }
 
+  /// simd::TruncSum(cached_row(row), m, 1.0), computed once by
+  /// CacheCandidates: the canonical-order sum of the row's happiness, i.e.
+  /// m times its mhr_tau gain over the empty set at tau = 1. For any
+  /// tau <= 1 it bounds that gain from above bit for bit (each term
+  /// min(h, tau) <= h, and rounded addition is monotone), which lets lazy
+  /// greedy seed its heap without a gain pass. Requires a cached row.
+  double FullGain(int row) const {
+    const size_t m = net_->size();
+    return full_gain_[static_cast<size_t>(
+                          cache_offset_[static_cast<size_t>(row)]) /
+                      m];
+  }
+
   /// Resident bytes of the candidate cache (0 when CacheCandidates was
   /// never called or declined because of its entry budget).
   size_t CandidateCacheBytes() const {
     return cache_.size() * sizeof(double) +
-           cache_offset_.size() * sizeof(int64_t);
+           cache_offset_.size() * sizeof(int64_t) +
+           full_gain_.size() * sizeof(double);
   }
 
   /// Total resident bytes: denominators, the dimension-major net block, the
@@ -104,6 +118,7 @@ class NetEvaluator {
   /// across evaluator rebuilds skips the first-touch page faults that
   /// otherwise dominate the fill (see simd.h).
   simd::ScratchBuffer cache_;
+  std::vector<double> full_gain_;  ///< FullGain per cached row, cache order.
 };
 
 /// Incremental state for greedy maximization of the truncated MHR

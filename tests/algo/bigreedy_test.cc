@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/algo_util.h"
 #include "algo/intcov.h"
 #include "common/random.h"
 #include "core/exact_evaluator.h"
@@ -209,6 +210,69 @@ TEST(BiGreedyTest, LazyAndPlainGreedyEquivalent) {
     ASSERT_TRUE(lazy_sol.ok() && plain_sol.ok());
     EXPECT_EQ(lazy_sol->rows, plain_sol->rows) << "trial " << trial;
   }
+
+  // A saturating instance: at the certified capped value the last greedy
+  // steps have zero gain everywhere, so plain greedy must skip the rows it
+  // already picked this round instead of re-picking the smallest one.
+  Rng sat_rng(5);
+  const Dataset data = GenIndependent(2000, 6, &sat_rng);
+  const Grouping g = GroupBySumRank(data, 4);
+  const GroupBounds bounds = GroupBounds::Proportional(10, g.Counts(), 0.2);
+  for (bool strict : {true, false}) {
+    BiGreedyOptions lazy_opts;
+    lazy_opts.seed = 5;
+    lazy_opts.strict_feasible = strict;
+    BiGreedyOptions plain_opts = lazy_opts;
+    plain_opts.lazy = false;
+    auto lazy_sol = BiGreedy(data, g, bounds, lazy_opts);
+    auto plain_sol = BiGreedy(data, g, bounds, plain_opts);
+    ASSERT_TRUE(lazy_sol.ok() && plain_sol.ok());
+    EXPECT_EQ(lazy_sol->rows, plain_sol->rows) << "strict " << strict;
+  }
+
+  // Same instance on caller-built evaluators: one whose candidate cache
+  // declined its budget (every heap seed is an exact gain) and one fully
+  // cached (seeds are FullGain bounds). Lazy on either, and plain, agree.
+  auto input = PrepareProblem(data, g, bounds);
+  ASSERT_TRUE(input.ok());
+  Rng net_rng(17);
+  const UtilityNet net = UtilityNet::SampleRandom(6, 600, &net_rng);
+  NetEvaluator declined(&data, &net, input->db_rows, 1);
+  declined.CacheCandidates(input->pool, /*max_entries=*/1);
+  ASSERT_EQ(declined.cached_row(input->pool.front()), nullptr);
+  NetEvaluator cached(&data, &net, input->db_rows, 1);
+  cached.CacheCandidates(input->pool);
+  ASSERT_NE(cached.cached_row(input->pool.front()), nullptr);
+  BiGreedyOptions lazy_opts;
+  BiGreedyOptions plain_opts;
+  plain_opts.lazy = false;
+  auto exact_seeded = BiGreedyOnNet(*input, &declined, lazy_opts);
+  auto plain = BiGreedyOnNet(*input, &declined, plain_opts);
+  auto bound_seeded = BiGreedyOnNet(*input, &cached, lazy_opts);
+  ASSERT_TRUE(exact_seeded.ok() && plain.ok() && bound_seeded.ok());
+  EXPECT_EQ(exact_seeded->rows, plain->rows);
+  EXPECT_EQ(exact_seeded->rows, bound_seeded->rows);
+}
+
+TEST(BiGreedyTest, BoundSeededLazyGreedyEvaluatesFewGains) {
+  // Seeding the heap from cached FullGain bounds replaces the per-probe
+  // gain pass over the pool; an exact seed pass plus the first pick's
+  // recomputes costs about 2x the pool per MRGreedy call.
+  Rng rng(8);
+  const Dataset data = GenIndependent(2000, 6, &rng);
+  const Grouping g = GroupBySumRank(data, 4);
+  const GroupBounds bounds = GroupBounds::Proportional(10, g.Counts(), 0.2);
+  auto input = PrepareProblem(data, g, bounds);
+  ASSERT_TRUE(input.ok());
+  BiGreedyRunInfo info;
+  auto sol = BiGreedy(data, g, bounds, {}, &info);
+  ASSERT_TRUE(sol.ok());
+  ASSERT_GE(info.mrgreedy_calls, 1);
+  const double per_call = static_cast<double>(info.gain_evals) /
+                          static_cast<double>(info.mrgreedy_calls);
+  EXPECT_LT(per_call, 1.5 * static_cast<double>(input->pool.size()))
+      << info.gain_evals << " evals over " << info.mrgreedy_calls
+      << " calls, pool " << input->pool.size();
 }
 
 TEST(BiGreedyTest, SingleGroupEqualsVanillaHms) {

@@ -11,6 +11,9 @@
 //   FAIRHMS_UPDATE_GOLDEN=1 ./fairhms_api_tests --gtest_filter='ProtocolGolden*'
 // and review the diff like any other code change.
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +34,7 @@
 #include "common/string_util.h"
 #include "data/generators.h"
 #include "data/grouping.h"
+#include "testing/test_util.h"
 
 #ifndef FAIRHMS_TEST_SRCDIR
 #error "FAIRHMS_TEST_SRCDIR must point at tests/api (set in CMakeLists)"
@@ -93,10 +97,33 @@ std::string Normalize(std::string s) {
   return s;
 }
 
+/// Switches the working directory to a fresh directory private to this
+/// test process for its lifetime: the battery's save op writes a relative
+/// path, and `ctest -j` runs the battery cases at the same time.
+class PrivateWorkDir {
+ public:
+  PrivateWorkDir() : dir_(testing::UniqueTempPath("workdir")) {
+    char buf[4096];
+    EXPECT_NE(::getcwd(buf, sizeof buf), nullptr);
+    prev_ = buf;
+    EXPECT_EQ(::mkdir(dir_.c_str(), 0700), 0);
+    EXPECT_EQ(::chdir(dir_.c_str()), 0);
+  }
+  ~PrivateWorkDir() {
+    EXPECT_EQ(::chdir(prev_.c_str()), 0);
+    ::rmdir(dir_.c_str());
+  }
+
+ private:
+  std::string dir_;
+  std::string prev_;
+};
+
 /// Serves golden/requests.jsonl through a freshly bootstrapped service
 /// (fixed seeds, one "default" dataset) under the given envelope version
 /// and returns the normalized response lines.
 std::vector<std::string> ServeBattery(int version, bool normalize = true) {
+  const PrivateWorkDir work_dir;
   DatasetCatalog catalog;
   Rng rng(1234);
   Dataset data = GenIndependent(60, 3, &rng).NormalizedMinMax();
@@ -118,9 +145,8 @@ std::vector<std::string> ServeBattery(int version, bool normalize = true) {
     responses.push_back(normalize ? Normalize(std::move(response))
                                   : std::move(response));
   }
-  // The battery's save op writes next to the test binary; drop the file
-  // (and its cost-model sidecar) so reruns start clean (the bytes are
-  // covered by snapshot tests).
+  // Drop the saved file and its cost-model sidecar so the private
+  // directory can go (the bytes are covered by snapshot tests).
   std::remove("protocol_golden_tiny.snap");
   std::remove("protocol_golden_tiny.snap.plan");
   return responses;

@@ -363,6 +363,22 @@ TEST(SimdKernelTest, DominancePaddingIsNeverAWitness) {
   EXPECT_FALSE(simd::AnyWeaklyDominates(empty.cols(), 0, d, zero.data()));
 }
 
+TEST(SimdKernelTest, RepeatSumMatchesTruncSumOfConstantRow) {
+  ModeGuard guard;
+  for (simd::SimdMode mode :
+       {simd::SimdMode::kOff, simd::SimdMode::kAuto}) {
+    simd::SetMode(mode);
+    for (size_t n : {0, 1, 2, 3, 4, 5, 7, 203, 600, 1001}) {
+      for (double x : {1.0, 0.99, 0.3333333333333333, 1e-3, 5e-324}) {
+        const std::vector<double> row(n, x);
+        EXPECT_TRUE(BitEq(simd::RepeatSum(x, n),
+                          simd::TruncSum(row.data(), n, 1.0)))
+            << "n " << n << " x " << x;
+      }
+    }
+  }
+}
+
 TEST(SimdKernelTest, ColMinMaxHandlesSignedZeroAndDenormals) {
   ModeGuard guard;
   const std::vector<double> x = {0.5, -0.0, 5e-324, 0.0, 1e-310, 0.25, -0.0};

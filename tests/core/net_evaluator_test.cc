@@ -1,11 +1,13 @@
 #include "core/net_evaluator.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/simd.h"
 #include "data/generators.h"
 #include "skyline/skyline.h"
 #include "testing/test_util.h"
@@ -82,6 +84,95 @@ TEST(NetEvaluatorTest, CacheSkippedWhenOverBudget) {
   NetEvaluator eval(&data, &net, all);
   eval.CacheCandidates(all, /*max_entries=*/10);  // 40*64 > 10.
   EXPECT_EQ(eval.cached_row(0), nullptr);
+}
+
+TEST(NetEvaluatorTest, CandidateCacheBytesCountFullGains) {
+  Rng rng(10);
+  const Dataset data = GenIndependent(40, 3, &rng);
+  const UtilityNet net = UtilityNet::SampleRandom(3, 64, &rng);
+  std::vector<int> all(40);
+  std::iota(all.begin(), all.end(), 0);
+  NetEvaluator eval(&data, &net, all);
+  const size_t before = eval.ResidentBytes();
+  EXPECT_EQ(eval.CandidateCacheBytes(), 0u);
+  const std::vector<int> half(all.begin(), all.begin() + 20);
+  eval.CacheCandidates(half);
+  // Happiness matrix + per-dataset-row offsets + one FullGain per row.
+  const size_t expected = 20 * 64 * sizeof(double) +
+                          40 * sizeof(int64_t) + 20 * sizeof(double);
+  EXPECT_EQ(eval.CandidateCacheBytes(), expected);
+  EXPECT_EQ(eval.ResidentBytes(), before + expected);
+}
+
+/// Restores auto SIMD mode when a test body returns or fails.
+struct SimdModeGuard {
+  ~SimdModeGuard() { simd::SetMode(simd::SimdMode::kAuto); }
+};
+
+bool BitEq(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// An evaluator with every row cached, on an m with a sum-order tail
+/// (m % simd::kSumLanes != 0), at the given lane count.
+struct FullGainFixture {
+  static constexpr size_t kNet = 203;
+  Dataset data;
+  UtilityNet net;
+  std::vector<int> all;
+  explicit FullGainFixture(Rng* rng)
+      : data(GenAntiCorrelated(60, 4, rng)),
+        net(UtilityNet::SampleRandom(4, kNet, rng)),
+        all(60) {
+    std::iota(all.begin(), all.end(), 0);
+  }
+};
+
+TEST(NetEvaluatorTest, FullGainIsTheEmptySetGainAtTauOne) {
+  SimdModeGuard guard;
+  Rng rng(29);
+  const FullGainFixture f(&rng);
+  const std::vector<double> zeros(f.net.size(), 0.0);
+  for (simd::SimdMode mode : {simd::SimdMode::kAuto, simd::SimdMode::kOff}) {
+    simd::SetMode(mode);
+    for (int threads : {1, 4}) {
+      NetEvaluator eval(&f.data, &f.net, f.all, threads);
+      eval.CacheCandidates(f.all);
+      const TruncatedMhrState empty(&eval);
+      for (int row : f.all) {
+        const double full = eval.FullGain(row);
+        EXPECT_TRUE(BitEq(full, simd::TruncGainCached(eval.cached_row(row),
+                                                      zeros.data(),
+                                                      f.net.size(), 1.0)))
+            << "row " << row;
+        EXPECT_TRUE(BitEq(full / static_cast<double>(f.net.size()),
+                          empty.MarginalGain(row, 1.0)))
+            << "row " << row;
+      }
+    }
+  }
+}
+
+TEST(NetEvaluatorTest, FullGainAndCapBoundEveryGridGain) {
+  // BiGreedy's lazy-greedy heap seed: min(FullGain, cap(tau)) / m must be
+  // >= the exact empty-set gain at every capped value of the search grid.
+  SimdModeGuard guard;
+  Rng rng(31);
+  const FullGainFixture f(&rng);
+  const size_t m = f.net.size();
+  const double md = static_cast<double>(m);
+  for (simd::SimdMode mode : {simd::SimdMode::kAuto, simd::SimdMode::kOff}) {
+    simd::SetMode(mode);
+    NetEvaluator eval(&f.data, &f.net, f.all, 1);
+    eval.CacheCandidates(f.all);
+    const TruncatedMhrState empty(&eval);
+    for (double tau = 1.0; tau >= 1.0 / md; tau *= 0.99) {
+      const double cap = simd::RepeatSum(tau, m);
+      for (int row : f.all) {
+        EXPECT_GE(std::min(eval.FullGain(row), cap) / md,
+                  empty.MarginalGain(row, tau))
+            << "row " << row << " tau " << tau;
+      }
+    }
+  }
 }
 
 TEST(TruncatedMhrStateTest, AddMatchesRecompute) {

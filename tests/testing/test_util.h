@@ -4,10 +4,16 @@
 #ifndef FAIRHMS_TESTS_TESTING_TEST_UTIL_H_
 #define FAIRHMS_TESTS_TESTING_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <functional>
+#include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "data/dataset.h"
@@ -17,6 +23,27 @@
 
 namespace fairhms {
 namespace testing {
+
+/// A temp-file path private to the running test case and process:
+/// TempDir() + "fairhms_<suite>_<test>_<pid>_<stem>", with anything but
+/// [A-Za-z0-9._] mapped to '_'. `ctest -j` runs every case as its own
+/// process at the same time as the others, so fixed names would collide.
+inline std::string UniqueTempPath(const std::string& stem) {
+  std::string name = "fairhms";
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  if (info != nullptr) {
+    name += std::string("_") + info->test_suite_name() + "_" + info->name();
+  }
+  name += "_" + std::to_string(::getpid()) + "_" + stem;
+  for (char& c : name) {
+    if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '.' &&
+        c != '_') {
+      c = '_';
+    }
+  }
+  return ::testing::TempDir() + name;
+}
 
 /// Builds a dataset from a point list.
 inline Dataset MakeDataset(const std::vector<std::vector<double>>& pts) {
