@@ -3,9 +3,14 @@
 // This is the data-parallel floor of the evaluation stack: a
 // structure-of-arrays block type (`ColumnBlock`) plus flat-range kernels
 // over it (dot/max/min reductions, truncated-gain sums, Pareto-dominance
-// tests). Every kernel has a scalar reference implementation and, where the
-// build targets support it, SSE2 / AVX2 / NEON implementations selected
-// once at startup by CPU detection (`DispatchLevel`).
+// tests). Every kernel has a scalar reference implementation
+// (simd_kernels.h) and one width-generic vector implementation
+// (simd_vector.h), a template over W, the number of double lanes per
+// vector. Each dispatch level is one instantiation of that template in a
+// TU built for its target — W = 2 with the baseline flags (`sse2` on
+// x86-64, `neon` on aarch64) and W = 4 with -mavx2 (`avx2`) — selected
+// once at startup by CPU detection (`DispatchLevel`). Compilers without
+// the GCC/Clang vector extensions build the scalar table only.
 //
 // Bit-identity contract
 // ---------------------
@@ -19,13 +24,16 @@
 //    expression chain, so lane width cannot change results.
 //  * Dot products accumulate over dimensions sequentially per lane —
 //    the same chain as `Dot()` in geom/vec.h.
-//  * min/max reductions are order-independent for the value domain
+//  * min/max and the happiness guard are lane selects (one Select helper
+//    in simd_vector.h, which also says why it is the vector conditional
+//    rather than bitwise masks) with the tie semantics of std::min /
+//    std::max; min reductions are order-independent for the value domain
 //    (finite, non-NaN, and sums of non-negative products are never -0.0).
 //  * Sum reductions (`TruncGain*`, `TruncSum`) use one fixed reduction
 //    order on every path: four virtual accumulator lanes striped
 //    j % 4, combined as (p0 + p1) + (p2 + p3), with the tail (n % 4)
-//    added sequentially afterwards. The scalar path simulates the same
-//    four lanes.
+//    added sequentially afterwards. A width-W level keeps 4 / W vector
+//    accumulators; the scalar path simulates the four lanes.
 //  * No FMA, ever — fused multiply-add rounds differently than mul+add.
 //    The kernel translation units are compiled with -ffp-contract=off so
 //    the compiler cannot contract on its own.
@@ -44,7 +52,6 @@
 #define FAIRHMS_COMMON_SIMD_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -58,10 +65,6 @@ namespace simd {
 
 // ---------------------------------------------------------------------------
 // Layout constants.
-
-/// Bump when the SoA layout or kernel reduction orders change in a way that
-/// invalidates cached evaluator artifacts.
-constexpr int kLayoutVersion = 1;
 
 /// Column padding granularity, in rows (64 bytes of doubles).
 constexpr size_t kPadRows = 8;
@@ -77,8 +80,8 @@ constexpr size_t kAlign = 64;
 constexpr size_t kDirTile = 512;
 
 /// Virtual accumulator lanes of the canonical sum-reduction order. Fixed
-/// across all dispatch levels (AVX2 uses exactly 4 hardware lanes; SSE2 and
-/// NEON pair two 2-lane accumulators; scalar simulates all four).
+/// across all dispatch levels: a width-W level keeps kSumLanes / W vector
+/// accumulators (AVX2 one, SSE2 and NEON two); scalar simulates all four.
 constexpr size_t kSumLanes = 4;
 
 // ---------------------------------------------------------------------------
@@ -310,12 +313,6 @@ DispatchLevel ActiveLevel();
 
 const char* DispatchLevelName(DispatchLevel level);
 const char* SimdModeName(SimdMode mode);
-
-/// Cache-key component: layout version and active dispatch level. Cached
-/// evaluator artifacts are keyed on this so a layout change or mode flip
-/// can never serve stale precomputes (results are bit-identical across
-/// levels, so this is conservative, not load-bearing).
-uint32_t LayoutKey();
 
 // ---------------------------------------------------------------------------
 // Kernels. All take flat ranges; callers tile with kDirTile where blocking

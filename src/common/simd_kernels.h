@@ -1,17 +1,22 @@
 // Internal dispatch table for src/common/simd.h — not part of the public
-// surface. Each implementation TU (scalar+SSE2 in simd.cc, AVX2 in
-// simd_avx2.cc, NEON in simd_neon.cc) fills one KernelTable; simd.cc picks
+// surface. A KernelTable holds one implementation of every kernel: the
+// scalar table (simd.cc) uses the reference bodies below verbatim, and each
+// vector table is one instantiation of the width-generic kernels in
+// simd_vector.h (W = 2 in simd.cc, W = 4 in simd_avx2.cc). simd.cc picks
 // the active table once at startup.
 //
-// The scalar reference implementations live here as inline functions so the
-// vector TUs reuse the exact same code for loop tails — tail bits must match
-// the scalar path by construction, not by reimplementation.
+// The scalar reference bodies live here as inline functions so the vector
+// kernels reuse the exact same code for loop tails — tail bits must match
+// the scalar path by construction, not by reimplementation. They have
+// internal linkage so the copy compiled into the -mavx2 TU can never be
+// the one the linker keeps for the baseline TU.
 
 #ifndef FAIRHMS_COMMON_SIMD_KERNELS_H_
 #define FAIRHMS_COMMON_SIMD_KERNELS_H_
 
 #include <algorithm>
 #include <cstddef>
+#include <vector>
 
 #include "common/simd.h"
 
@@ -51,13 +56,21 @@ struct KernelTable {
 
 /// Always available. Never returns nullptr.
 const KernelTable* ScalarKernels();
-/// Return nullptr when the build target lacks the instruction set.
-const KernelTable* Sse2Kernels();
+/// The width-2 table of the baseline TU: sse2 on x86-64, neon on aarch64;
+/// nullptr on other targets.
+const KernelTable* BaselineKernels();
+/// The width-4 table of the -mavx2 TU; nullptr off x86-64. Run it only
+/// where the CPU reports avx2.
 const KernelTable* Avx2Kernels();
-const KernelTable* NeonKernels();
+
+/// Every table the host CPU can execute, scalar first and best last. The
+/// dispatcher picks the last; simd_test runs each against the first.
+std::vector<const KernelTable*> HostKernelTables();
 
 // ---------------------------------------------------------------------------
-// Scalar reference bodies (used verbatim by vector TUs for tails).
+// Scalar reference bodies (used verbatim by the vector kernels for tails).
+
+namespace {
 
 /// <u_j, p>: sequential accumulation over dimensions — the canonical
 /// per-lane chain (identical to geom/vec.h Dot()).
@@ -260,6 +273,7 @@ inline void ColMinMaxScalar(const double* x, size_t n, double* mn,
   *mx = hi;
 }
 
+}  // namespace
 }  // namespace internal
 }  // namespace simd
 }  // namespace fairhms

@@ -5,7 +5,6 @@
 #include <tuple>
 #include <utility>
 
-#include "common/simd.h"
 #include "common/string_util.h"
 #include "skyline/skyline.h"
 
@@ -70,9 +69,8 @@ bool ArtifactCache::NetKey::operator<(const NetKey& o) const {
 }
 
 bool ArtifactCache::EvalKey::operator<(const EvalKey& o) const {
-  return std::tie(data, net, threads, layout, db_rows, cache_rows) <
-         std::tie(o.data, o.net, o.threads, o.layout, o.db_rows,
-                  o.cache_rows);
+  return std::tie(data, net, threads, db_rows, cache_rows) <
+         std::tie(o.data, o.net, o.threads, o.db_rows, o.cache_rows);
 }
 
 void ArtifactCache::SetArbiter(CacheArbiter* arbiter) {
@@ -112,8 +110,7 @@ std::shared_ptr<const NetEvaluator> ArtifactCache::Evaluator(
     const Dataset& data, std::shared_ptr<const UtilityNet> net,
     const std::vector<int>& db_rows, const std::vector<int>& cache_rows,
     int threads) {
-  EvalKey key{&data,      net.get(), db_rows,
-              cache_rows, threads,   simd::LayoutKey()};
+  EvalKey key{&data, net.get(), db_rows, cache_rows, threads};
   std::shared_ptr<const NetEvaluator> result;
   CacheArbiter* arbiter = nullptr;
   int64_t delta = 0;

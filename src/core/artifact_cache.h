@@ -178,10 +178,6 @@ class ArtifactCache {
     std::vector<int> db_rows;
     std::vector<int> cache_rows;
     int threads;
-    /// simd::LayoutKey() at build time: an evaluator's resident blocks are
-    /// tied to the data-layout version and active dispatch level, so a
-    /// mid-process SetMode switch builds fresh artifacts instead of mixing.
-    uint32_t layout;
     bool operator<(const EvalKey& o) const;
   };
   struct EvalEntry {

@@ -1,13 +1,14 @@
 // Bit-identity and dispatch tests for the common/simd.h kernel layer.
 //
 // The layer's contract is that every kernel produces *bitwise identical*
-// results at every dispatch level. These tests run each kernel with
-// SetMode(kOff) (scalar reference) and SetMode(kAuto) (best level the host
-// supports) over shapes chosen to hit every code path — sub-lane sizes,
-// unaligned tails, full tiles — and over value sets with the classic
-// floating-point traps: ±0.0, denormals, exact duplicates and all-zero
-// rows. On a scalar-only host auto == off and the comparisons are trivially
-// true; on SSE2/AVX2/NEON hosts they exercise the vector paths.
+// results at every dispatch level. The kernel tests run every table the
+// host CPU can execute (simd::internal::HostKernelTables(): scalar, then
+// sse2 and avx2 on x86-64, or neon on aarch64) and compare each with the
+// scalar reference, over shapes chosen to hit every code path — sub-lane
+// sizes, unaligned tails, full tiles — and over value sets with the
+// classic floating-point traps: ±0.0, denormals, exact duplicates and
+// all-zero rows. The evaluator tests compare whole pipelines under
+// SetMode(kOff) and SetMode(kAuto).
 
 #include "common/simd.h"
 
@@ -21,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/simd_kernels.h"
 #include "common/string_util.h"
 #include "core/exact_evaluator.h"
 #include "core/net_evaluator.h"
@@ -33,7 +35,19 @@
 namespace fairhms {
 namespace {
 
+using simd::internal::KernelTable;
 using testing::MakeDataset;
+
+/// Every kernel table the host can execute, scalar reference first.
+const std::vector<const KernelTable*>& HostTables() {
+  static const std::vector<const KernelTable*> tables =
+      simd::internal::HostKernelTables();
+  return tables;
+}
+
+const char* LevelName(const KernelTable* t) {
+  return simd::DispatchLevelName(t->level);
+}
 
 bool BitEq(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -155,96 +169,92 @@ TEST(SimdModeTest, OffForcesScalarAndAutoRestoresDetected) {
   EXPECT_EQ(simd::ActiveLevel(), simd::DetectedLevel());
 }
 
-TEST(SimdModeTest, LayoutKeyTracksActiveLevel) {
-  ModeGuard guard;
-  simd::SetMode(simd::SimdMode::kOff);
-  const uint32_t off_key = simd::LayoutKey();
-  simd::SetMode(simd::SimdMode::kAuto);
-  const uint32_t auto_key = simd::LayoutKey();
-  if (simd::DetectedLevel() != simd::DispatchLevel::kScalar) {
-    EXPECT_NE(off_key, auto_key);
-  } else {
-    EXPECT_EQ(off_key, auto_key);
+TEST(SimdModeTest, HostTablesCoverEveryCompiledLevel) {
+  std::vector<simd::DispatchLevel> want = {simd::DispatchLevel::kScalar};
+#if defined(__GNUC__) && defined(__x86_64__)
+  want.push_back(simd::DispatchLevel::kSse2);
+  if (__builtin_cpu_supports("avx2")) {
+    want.push_back(simd::DispatchLevel::kAvx2);
   }
-  EXPECT_EQ(off_key >> 8, static_cast<uint32_t>(simd::kLayoutVersion));
+#elif defined(__GNUC__) && defined(__aarch64__)
+  want.push_back(simd::DispatchLevel::kNeon);
+#endif
+  std::vector<simd::DispatchLevel> got;
+  for (const KernelTable* t : HostTables()) got.push_back(t->level);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got.back(), simd::DetectedLevel());
 }
 
 TEST(SimdKernelTest, NetBestAndHappinessAndMhrBitIdentical) {
-  ModeGuard guard;
   Rng rng(101);
   for (size_t d : kDims) {
     for (size_t m : kNetSizes) {
       for (size_t n : kRowCounts) {
         const simd::ColumnBlock net = TrapBlock(m, d, &rng);
         const std::vector<double> pts = TrapPoints(n, d, &rng);
-
-        simd::SetMode(simd::SimdMode::kOff);
-        std::vector<double> best_off(m, 0.0);
-        simd::NetBestRange(net.cols(), 0, m, pts.data(), n, d,
-                           best_off.data());
-        std::vector<double> hap_off(m, 0.0);
-        simd::HappinessRange(net.cols(), 0, m, pts.data(), d, best_off.data(),
-                             1e-12, hap_off.data());
-        const double mhr_off = simd::MhrRange(net.cols(), 0, std::min(m, simd::kDirTile),
-                                              best_off.data(), 1e-12,
-                                              pts.data(), n, d);
-
-        simd::SetMode(simd::SimdMode::kAuto);
-        std::vector<double> best_auto(m, 0.0);
-        simd::NetBestRange(net.cols(), 0, m, pts.data(), n, d,
-                           best_auto.data());
-        std::vector<double> hap_auto(m, 0.0);
-        simd::HappinessRange(net.cols(), 0, m, pts.data(), d,
-                             best_auto.data(), 1e-12, hap_auto.data());
-        const double mhr_auto = simd::MhrRange(net.cols(), 0, std::min(m, simd::kDirTile),
-                                               best_auto.data(), 1e-12,
-                                               pts.data(), n, d);
-
-        EXPECT_TRUE(BitsEqual(best_off, best_auto)) << "d=" << d << " m=" << m
-                                                    << " n=" << n;
-        EXPECT_TRUE(BitsEqual(hap_off, hap_auto)) << "d=" << d << " m=" << m
-                                                  << " n=" << n;
-        EXPECT_TRUE(BitEq(mhr_off, mhr_auto)) << "d=" << d << " m=" << m
-                                              << " n=" << n;
+        const size_t tile = std::min(m, simd::kDirTile);
+        std::vector<double> best_ref, hap_ref;
+        double mhr_ref = 0.0;
+        for (const KernelTable* t : HostTables()) {
+          SCOPED_TRACE(StrFormat("%s d=%zu m=%zu n=%zu", LevelName(t), d, m,
+                                 n));
+          std::vector<double> best(m, 0.0);
+          t->net_best(net.cols(), 0, m, pts.data(), n, d, best.data());
+          std::vector<double> hap(m, 0.0);
+          t->happiness_range(net.cols(), 0, m, pts.data(), d, best.data(),
+                             1e-12, hap.data());
+          const double mhr = t->mhr_range(net.cols(), 0, tile, best.data(),
+                                          1e-12, pts.data(), n, d);
+          if (t == HostTables().front()) {
+            best_ref = best;
+            hap_ref = hap;
+            mhr_ref = mhr;
+          }
+          EXPECT_TRUE(BitsEqual(best_ref, best));
+          EXPECT_TRUE(BitsEqual(hap_ref, hap));
+          EXPECT_TRUE(BitEq(mhr_ref, mhr));
+        }
       }
     }
   }
 }
 
 TEST(SimdKernelTest, MhrRangeMatchesPerRowDivisionFormulation) {
-  ModeGuard guard;
-  simd::SetMode(simd::SimdMode::kAuto);
   Rng rng(202);
   const size_t d = 6, m = 333, n = 40;
   const simd::ColumnBlock net = TrapBlock(m, d, &rng);
   const std::vector<double> pts = TrapPoints(n, d, &rng);
-  std::vector<double> best(m, 0.0);
-  simd::NetBestRange(net.cols(), 0, m, pts.data(), n, d, best.data());
-  const double hoisted =
-      simd::MhrRange(net.cols(), 0, m, best.data(), 1e-12, pts.data(), n, d);
-  // Naive max_r min(1, s_r / b) per direction: the kernel hoists the
-  // division (max selects an element, division by a positive constant is
-  // monotone), which must match bit for bit, not approximately.
-  double naive = 1.0;
-  for (size_t j = 0; j < m; ++j) {
-    double hr;
-    if (best[j] <= 1e-12) {
-      hr = 1.0;
-    } else {
-      hr = 0.0;
-      for (size_t r = 0; r < n; ++r) {
-        double s = 0.0;
-        for (size_t k = 0; k < d; ++k) s += net.cols()[k][j] * pts[r * d + k];
-        hr = std::max(hr, std::min(1.0, s / best[j]));
+  for (const KernelTable* t : HostTables()) {
+    SCOPED_TRACE(LevelName(t));
+    std::vector<double> best(m, 0.0);
+    t->net_best(net.cols(), 0, m, pts.data(), n, d, best.data());
+    const double hoisted =
+        t->mhr_range(net.cols(), 0, m, best.data(), 1e-12, pts.data(), n, d);
+    // Naive max_r min(1, s_r / b) per direction: the kernel hoists the
+    // division (max selects an element, division by a positive constant is
+    // monotone), which must match bit for bit, not approximately.
+    double naive = 1.0;
+    for (size_t j = 0; j < m; ++j) {
+      double hr;
+      if (best[j] <= 1e-12) {
+        hr = 1.0;
+      } else {
+        hr = 0.0;
+        for (size_t r = 0; r < n; ++r) {
+          double s = 0.0;
+          for (size_t k = 0; k < d; ++k) {
+            s += net.cols()[k][j] * pts[r * d + k];
+          }
+          hr = std::max(hr, std::min(1.0, s / best[j]));
+        }
       }
+      naive = std::min(naive, hr);
     }
-    naive = std::min(naive, hr);
+    EXPECT_TRUE(BitEq(hoisted, naive)) << hoisted << " vs " << naive;
   }
-  EXPECT_TRUE(BitEq(hoisted, naive)) << hoisted << " vs " << naive;
 }
 
 TEST(SimdKernelTest, TruncatedGainKernelsBitIdentical) {
-  ModeGuard guard;
   Rng rng(303);
   for (size_t d : kDims) {
     for (size_t m : kNetSizes) {
@@ -255,49 +265,42 @@ TEST(SimdKernelTest, TruncatedGainKernelsBitIdentical) {
       for (double& v : cur) v = TrapHappiness(&rng);
       for (double& v : hrow) v = TrapHappiness(&rng);
       const double tau = 0.85;
-
-      simd::SetMode(simd::SimdMode::kOff);
-      const double gc_off = simd::TruncGainCached(hrow.data(), cur.data(), m, tau);
-      const double ge_off =
-          simd::TruncGainEval(net.cols(), m, p.data(), d, best.data(), 1e-12,
-                              cur.data(), tau);
-      const double ts_off = simd::TruncSum(cur.data(), m, tau);
-      const double mr_off = simd::MinReduce(cur.data(), m);
-      std::vector<double> acc_off = cur;
-      simd::MaxAccumulate(hrow.data(), acc_off.data(), m);
-      std::vector<double> add_off = cur;
-      simd::AddHappinessMax(net.cols(), 0, m, p.data(), d, best.data(), 1e-12,
-                            add_off.data());
-
-      simd::SetMode(simd::SimdMode::kAuto);
-      const double gc_auto = simd::TruncGainCached(hrow.data(), cur.data(), m, tau);
-      const double ge_auto =
-          simd::TruncGainEval(net.cols(), m, p.data(), d, best.data(), 1e-12,
-                              cur.data(), tau);
-      const double ts_auto = simd::TruncSum(cur.data(), m, tau);
-      const double mr_auto = simd::MinReduce(cur.data(), m);
-      std::vector<double> acc_auto = cur;
-      simd::MaxAccumulate(hrow.data(), acc_auto.data(), m);
-      std::vector<double> add_auto = cur;
-      simd::AddHappinessMax(net.cols(), 0, m, p.data(), d, best.data(), 1e-12,
-                            add_auto.data());
-
-      EXPECT_TRUE(BitEq(gc_off, gc_auto)) << "d=" << d << " m=" << m;
-      EXPECT_TRUE(BitEq(ge_off, ge_auto)) << "d=" << d << " m=" << m;
-      EXPECT_TRUE(BitEq(ts_off, ts_auto)) << "d=" << d << " m=" << m;
-      EXPECT_TRUE(BitEq(mr_off, mr_auto)) << "d=" << d << " m=" << m;
-      EXPECT_TRUE(BitsEqual(acc_off, acc_auto)) << "d=" << d << " m=" << m;
-      EXPECT_TRUE(BitsEqual(add_off, add_auto)) << "d=" << d << " m=" << m;
+      std::vector<double> ref, acc_ref, add_ref;
+      for (const KernelTable* t : HostTables()) {
+        SCOPED_TRACE(StrFormat("%s d=%zu m=%zu", LevelName(t), d, m));
+        const std::vector<double> got = {
+            t->trunc_gain_cached(hrow.data(), cur.data(), m, tau),
+            t->trunc_gain_eval(net.cols(), m, p.data(), d, best.data(), 1e-12,
+                               cur.data(), tau),
+            t->trunc_sum(cur.data(), m, tau),
+            t->min_reduce(cur.data(), m),
+        };
+        std::vector<double> acc = cur;
+        t->max_accumulate(hrow.data(), acc.data(), m);
+        std::vector<double> add = cur;
+        t->add_happiness_max(net.cols(), 0, m, p.data(), d, best.data(), 1e-12,
+                             add.data());
+        if (t == HostTables().front()) {
+          ref = got;
+          acc_ref = acc;
+          add_ref = add;
+        }
+        EXPECT_TRUE(BitsEqual(ref, got));
+        EXPECT_TRUE(BitsEqual(acc_ref, acc));
+        EXPECT_TRUE(BitsEqual(add_ref, add));
+      }
     }
   }
 }
 
 TEST(SimdKernelTest, MinReduceOfEmptyIsOne) {
+  for (const KernelTable* t : HostTables()) {
+    EXPECT_EQ(t->min_reduce(nullptr, 0), 1.0) << LevelName(t);
+  }
   EXPECT_EQ(simd::MinReduce(nullptr, 0), 1.0);
 }
 
 TEST(SimdKernelTest, RowSumsAndDominanceBitIdentical) {
-  ModeGuard guard;
   Rng rng(404);
   for (size_t d : kDims) {
     for (size_t n : kRowCounts) {
@@ -311,40 +314,36 @@ TEST(SimdKernelTest, RowSumsAndDominanceBitIdentical) {
       probes.push_back(dup);
       probes.emplace_back(d, 0.0);
 
-      simd::SetMode(simd::SimdMode::kOff);
-      std::vector<double> sums_off(block.padded_rows(), 0.0);
-      simd::RowSums(block.cols(), n, d, sums_off.data());
-      std::vector<int> dom_off, weak_off;
-      for (const auto& p : probes) {
-        dom_off.push_back(simd::AnyDominates(block.cols(), n, d, p.data()));
-        weak_off.push_back(
-            simd::AnyWeaklyDominates(block.cols(), n, d, p.data()));
+      std::vector<double> sums_ref;
+      std::vector<int> dom_ref, weak_ref;
+      for (const KernelTable* t : HostTables()) {
+        SCOPED_TRACE(StrFormat("%s d=%zu n=%zu", LevelName(t), d, n));
+        std::vector<double> sums(block.padded_rows(), 0.0);
+        t->row_sums(block.cols(), n, d, sums.data());
+        std::vector<int> dom, weak;
+        for (const auto& p : probes) {
+          dom.push_back(t->any_dominates(block.cols(), n, d, p.data()));
+          weak.push_back(t->any_weak_dominates(block.cols(), n, d, p.data()));
+        }
+        if (t == HostTables().front()) {
+          sums_ref = sums;
+          dom_ref = dom;
+          weak_ref = weak;
+        }
+        EXPECT_TRUE(BitsEqual(sums_ref, sums));
+        EXPECT_EQ(dom_ref, dom);
+        EXPECT_EQ(weak_ref, weak);
+        // A duplicate of a block row is weakly dominated but never
+        // strictly dominated by that row (it can still be strictly
+        // dominated by some other row, so only the weak direction is
+        // asserted).
+        EXPECT_TRUE(weak[1]);
       }
-
-      simd::SetMode(simd::SimdMode::kAuto);
-      std::vector<double> sums_auto(block.padded_rows(), 0.0);
-      simd::RowSums(block.cols(), n, d, sums_auto.data());
-      std::vector<int> dom_auto, weak_auto;
-      for (const auto& p : probes) {
-        dom_auto.push_back(simd::AnyDominates(block.cols(), n, d, p.data()));
-        weak_auto.push_back(
-            simd::AnyWeaklyDominates(block.cols(), n, d, p.data()));
-      }
-
-      EXPECT_TRUE(BitsEqual(sums_off, sums_auto)) << "d=" << d << " n=" << n;
-      EXPECT_EQ(dom_off, dom_auto) << "d=" << d << " n=" << n;
-      EXPECT_EQ(weak_off, weak_auto) << "d=" << d << " n=" << n;
-      // A duplicate of a block row is weakly dominated but never strictly
-      // dominated by that row (it can still be strictly dominated by some
-      // other row, so only the weak direction is asserted).
-      EXPECT_TRUE(weak_off[1]);
     }
   }
 }
 
 TEST(SimdKernelTest, DominancePaddingIsNeverAWitness) {
-  ModeGuard guard;
-  simd::SetMode(simd::SimdMode::kAuto);
   // Three all-zero rows (padded out to kPadRows with more zeros). An
   // all-zero probe is weakly dominated by the real rows, but nothing
   // strictly dominates it — if a vector path read the zero padding as
@@ -354,51 +353,49 @@ TEST(SimdKernelTest, DominancePaddingIsNeverAWitness) {
   simd::ColumnBlock block(static_cast<int>(d));
   const std::vector<double> zero(d, 0.0);
   for (int i = 0; i < 3; ++i) block.Append(zero.data());
-  EXPECT_FALSE(simd::AnyDominates(block.cols(), 3, d, zero.data()));
-  EXPECT_TRUE(simd::AnyWeaklyDominates(block.cols(), 3, d, zero.data()));
-  // Zero rows, padded capacity present: no witness of any kind.
   simd::ColumnBlock empty(static_cast<int>(d));
   empty.ResizeRows(0);
-  EXPECT_FALSE(simd::AnyDominates(empty.cols(), 0, d, zero.data()));
-  EXPECT_FALSE(simd::AnyWeaklyDominates(empty.cols(), 0, d, zero.data()));
+  for (const KernelTable* t : HostTables()) {
+    SCOPED_TRACE(LevelName(t));
+    EXPECT_FALSE(t->any_dominates(block.cols(), 3, d, zero.data()));
+    EXPECT_TRUE(t->any_weak_dominates(block.cols(), 3, d, zero.data()));
+    // Zero rows, padded capacity present: no witness of any kind.
+    EXPECT_FALSE(t->any_dominates(empty.cols(), 0, d, zero.data()));
+    EXPECT_FALSE(t->any_weak_dominates(empty.cols(), 0, d, zero.data()));
+  }
 }
 
 TEST(SimdKernelTest, RepeatSumMatchesTruncSumOfConstantRow) {
-  ModeGuard guard;
-  for (simd::SimdMode mode :
-       {simd::SimdMode::kOff, simd::SimdMode::kAuto}) {
-    simd::SetMode(mode);
+  for (const KernelTable* t : HostTables()) {
     for (size_t n : {0, 1, 2, 3, 4, 5, 7, 203, 600, 1001}) {
       for (double x : {1.0, 0.99, 0.3333333333333333, 1e-3, 5e-324}) {
         const std::vector<double> row(n, x);
-        EXPECT_TRUE(BitEq(simd::RepeatSum(x, n),
-                          simd::TruncSum(row.data(), n, 1.0)))
-            << "n " << n << " x " << x;
+        EXPECT_TRUE(
+            BitEq(simd::RepeatSum(x, n), t->trunc_sum(row.data(), n, 1.0)))
+            << LevelName(t) << " n " << n << " x " << x;
       }
     }
   }
 }
 
 TEST(SimdKernelTest, ColMinMaxHandlesSignedZeroAndDenormals) {
-  ModeGuard guard;
   const std::vector<double> x = {0.5, -0.0, 5e-324, 0.0, 1e-310, 0.25, -0.0};
-  for (simd::SimdMode mode :
-       {simd::SimdMode::kOff, simd::SimdMode::kAuto}) {
-    simd::SetMode(mode);
+  // std::min/std::max keep the first argument on ties, so the scalar visit
+  // order pins which zero representation wins; ColMinMax stays scalar at
+  // every level precisely so this is reproducible.
+  double ref_mn = 1e300, ref_mx = -1e300;
+  for (double v : x) {
+    ref_mn = std::min(ref_mn, v);
+    ref_mx = std::max(ref_mx, v);
+  }
+  for (const KernelTable* t : HostTables()) {
+    SCOPED_TRACE(LevelName(t));
     double mn = 1e300, mx = -1e300;
-    simd::ColMinMax(x.data(), x.size(), &mn, &mx);
-    // std::min/std::max keep the first argument on ties, so the scalar
-    // visit order pins which zero representation wins; ColMinMax stays
-    // scalar at every level precisely so this is reproducible.
-    double ref_mn = 1e300, ref_mx = -1e300;
-    for (double v : x) {
-      ref_mn = std::min(ref_mn, v);
-      ref_mx = std::max(ref_mx, v);
-    }
+    t->col_min_max(x.data(), x.size(), &mn, &mx);
     EXPECT_TRUE(BitEq(mn, ref_mn));
     EXPECT_TRUE(BitEq(mx, ref_mx));
     double a = 1.0, b = 2.0;
-    simd::ColMinMax(x.data(), 0, &a, &b);  // n == 0: outputs untouched.
+    t->col_min_max(x.data(), 0, &a, &b);  // n == 0: outputs untouched.
     EXPECT_EQ(a, 1.0);
     EXPECT_EQ(b, 2.0);
   }
