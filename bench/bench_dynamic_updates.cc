@@ -35,7 +35,6 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/evaluate.h"
 #include "data/generators.h"
 #include "data/grouping.h"
@@ -44,17 +43,6 @@
 
 namespace fairhms {
 namespace {
-
-/// Serial, order-fixed digest (same contract as the session bench).
-std::string Digest(const std::vector<double>& values) {
-  double sum = 0.0;
-  double alt = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    sum += values[i];
-    alt += values[i] * static_cast<double>((i % 64) + 1);
-  }
-  return StrFormat("%.17g|%.17g", sum, alt);
-}
 
 struct Op {
   bool insert = false;
@@ -98,7 +86,7 @@ std::vector<Op> MakeSchedule(size_t n0, int dim, int groups, int updates,
 }
 
 int Run(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
   const int dim = static_cast<int>(flags.GetInt("dim", 6));
   const int groups = static_cast<int>(flags.GetInt("groups", 4));
@@ -116,6 +104,11 @@ int Run(int argc, char** argv) {
       flags.GetString("algos", "intcov,g_greedy");
   const std::string ks_flag = flags.GetString("ks", "6,10,14,18,22");
 
+  std::vector<int> ks;
+  if (!bench::ParsePositiveInts("ks", ks_flag, &ks) ||
+      !bench::CheckFlags(flags)) {
+    return 1;
+  }
   std::vector<std::string> algos;
   for (const std::string& a : Split(algos_flag, ',')) {
     algos.push_back(std::string(Trim(a)));
@@ -124,46 +117,30 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "--algos must name at least one algorithm\n");
     return 1;
   }
-  std::vector<int> ks;
-  for (const std::string& t : Split(ks_flag, ',')) {
-    int64_t v = 0;
-    if (!ParseInt64(Trim(t), &v) || v < 1) {
-      std::fprintf(stderr, "bad --ks entry '%s'\n", t.c_str());
-      return 1;
-    }
-    ks.push_back(static_cast<int>(v));
-  }
 
   const std::vector<Op> schedule =
       MakeSchedule(n, dim, groups, updates, algos, seed);
 
-  std::fprintf(stdout,
-               "# bench=dynamic_updates pass1=rebuild pass2=incremental "
-               "n=%zu dim=%d groups=%d ks=%s alpha=%g updates=%d "
-               "queries=%zu algos=%s ref_net=%zu solver_threads=%d "
-               "seed=%llu hardware_threads=%d\n",
-               n, dim, groups, ks_flag.c_str(), alpha, updates,
-               static_cast<size_t>(updates) * ks.size(), algos_flag.c_str(),
-               ref_net, threads, static_cast<unsigned long long>(seed),
-               HardwareThreads());
-  std::fprintf(stdout, "op,threads,ms,checksum\n");
+  bench::PrintReportHead(
+      "dynamic_updates",
+      {{"pass1", "rebuild"},
+       {"pass2", "incremental"},
+       {"n", std::to_string(n)},
+       {"dim", std::to_string(dim)},
+       {"groups", std::to_string(groups)},
+       {"ks", ks_flag},
+       {"alpha", StrFormat("%g", alpha)},
+       {"updates", std::to_string(updates)},
+       {"queries", std::to_string(static_cast<size_t>(updates) * ks.size())},
+       {"algos", algos_flag},
+       {"ref_net", std::to_string(ref_net)},
+       {"solver_threads", std::to_string(threads)},
+       {"seed", std::to_string(seed)}});
 
   struct PassResult {
     double update_ms = 0.0;
     double query_ms = 0.0;
     std::vector<double> digest;
-  };
-
-  // Fold one query's outcome (and the reference mhr) into the digest.
-  auto fold = [](const SolverResult& result, double mhr,
-                 std::vector<double>* digest) {
-    digest->push_back(static_cast<double>(result.solution.rows.size()));
-    for (int row : result.solution.rows) {
-      digest->push_back(static_cast<double>(row));
-    }
-    digest->push_back(result.solution.mhr);
-    digest->push_back(mhr);
-    digest->push_back(static_cast<double>(result.violations));
   };
 
   // Fold the complete skyline pipeline state after the final op, so the
@@ -238,7 +215,7 @@ int Run(int argc, char** argv) {
         const double mhr =
             EvaluateMhr(data, skyline, result->solution.rows, eval_opts);
         rebuild.query_ms += query_timer.ElapsedMillis();
-        fold(*result, mhr, &rebuild.digest);
+        bench::FoldResult(*result, &rebuild.digest, mhr);
       }
     }
     fold_state(data, grouping, &rebuild.digest);
@@ -291,7 +268,7 @@ int Run(int argc, char** argv) {
         const double mhr = EvaluateMhr(data, session->cache()->Skyline(data),
                                        result->solution.rows, eval_opts);
         incremental.query_ms += query_timer.ElapsedMillis();
-        fold(*result, mhr, &incremental.digest);
+        bench::FoldResult(*result, &incremental.digest, mhr);
       }
     }
     fold_state(data, grouping, &incremental.digest);
@@ -310,8 +287,7 @@ int Run(int argc, char** argv) {
 
   auto emit = [](const char* op, int pass, double ms,
                  const std::vector<double>& digest) {
-    std::fprintf(stdout, "%s,%d,%.3f,%s\n", op, pass, ms,
-                 Digest(digest).c_str());
+    bench::PrintResult(op, pass, ms, bench::Digest(digest));
   };
   // The per-phase rows share the full digest: any divergence — rows, mhr,
   // violations or final skyline state — trips bench_to_json's checksum

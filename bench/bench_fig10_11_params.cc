@@ -59,11 +59,12 @@ void Panel(const DatasetCase& c, int k, const std::vector<double>& grid) {
 }
 
 int Run(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const size_t anticor_n = static_cast<size_t>(
       flags.GetInt("anticor_n", flags.Has("full") ? 10000 : 2000));
   const int k = static_cast<int>(flags.GetInt("k", 20));
+  if (!CheckFlags(flags)) return 1;
 
   // The paper sweeps {0.00125, 0.0025, ..., 0.64} (factor 2); the default
   // grid here uses the paper's axis ticks (factor 8), --full the whole grid.

@@ -38,10 +38,11 @@ void Panel(const DatasetCase& c, const std::vector<int>& ks) {
 }
 
 int Run(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const size_t anticor_n = static_cast<size_t>(
       flags.GetInt("anticor_n", flags.Has("full") ? 10000 : 3000));
+  if (!CheckFlags(flags)) return 1;
 
   std::printf("=== Fig. 3: fairness violations of unconstrained algorithms "
               "(proportional bounds, alpha = 0.1) ===\n");

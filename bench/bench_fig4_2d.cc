@@ -100,11 +100,12 @@ void VaryN(uint64_t seed, const std::vector<size_t>& ns, int k) {
 }
 
 int Run(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const bool full = flags.Has("full");
   const size_t anticor_n =
       static_cast<size_t>(flags.GetInt("anticor_n", full ? 10000 : 4000));
+  if (!CheckFlags(flags)) return 1;
 
   std::printf("=== Fig. 4: two-dimensional datasets (IntCov exact vs "
               "approximations; proportional bounds, alpha = 0.1) ===\n");

@@ -32,10 +32,11 @@ void Panel(const DatasetCase& c, const std::vector<int>& ks) {
 }
 
 int Run(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const size_t anticor_n = static_cast<size_t>(
       flags.GetInt("anticor_n", flags.Has("full") ? 10000 : 2000));
+  if (!CheckFlags(flags)) return 1;
 
   std::printf("=== Fig. 5: MHR on multi-dimensional datasets (proportional "
               "bounds, alpha = 0.1) ===\n");

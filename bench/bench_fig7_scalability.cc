@@ -57,7 +57,7 @@ void Print(const std::string& what, const PanelRows& rows,
 }
 
 int Run(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const bool full = flags.Has("full");
   const size_t base_n =
@@ -65,6 +65,7 @@ int Run(int argc, char** argv) {
   const int k = static_cast<int>(flags.GetInt("k", 20));
   const size_t fgreedy_cap =
       static_cast<size_t>(flags.GetInt("fgreedy_pool_cap", full ? 20000 : 6000));
+  if (!CheckFlags(flags)) return 1;
 
   std::printf("=== Fig. 7: scalability on anti-correlated data (k = %d) ===\n",
               k);

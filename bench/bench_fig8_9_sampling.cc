@@ -87,11 +87,13 @@ void AblateTauSearch(const DatasetCase& c, int k) {
 }
 
 int Run(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const size_t anticor_n = static_cast<size_t>(
       flags.GetInt("anticor_n", flags.Has("full") ? 10000 : 2000));
   const int k = static_cast<int>(flags.GetInt("k", 20));
+  const bool ablate_tau = flags.Has("ablate-tau");
+  if (!CheckFlags(flags)) return 1;
 
   std::printf("=== Figs. 8 + 9: effect of the net size m (BiGreedy) / cap M "
               "(BiGreedy+) ===\n");
@@ -101,7 +103,7 @@ int Run(int argc, char** argv) {
                               ? MakeCase(key, seed, anticor_n, 6, 3)
                               : MakeCase(key, seed);
     Panel(c, k);
-    if (flags.Has("ablate-tau")) AblateTauSearch(c, k);
+    if (ablate_tau) AblateTauSearch(c, k);
   }
 
   std::printf("\nExpected shape (paper): MHR rises with m and saturates "

@@ -27,7 +27,6 @@
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "common/simd.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/net_evaluator.h"
 #include "data/generators.h"
@@ -39,24 +38,6 @@ namespace fairhms {
 namespace {
 
 constexpr double kEps = NetEvaluator::kDegenerate;
-
-struct OpResult {
-  std::string op;
-  int pass = 0;
-  double ms = 0.0;
-  std::string checksum;
-};
-
-/// Serial, order-fixed digest (same scheme as bench_parallel_eval).
-std::string Digest(const double* values, size_t count) {
-  double sum = 0.0;
-  double alt = 0.0;
-  for (size_t i = 0; i < count; ++i) {
-    sum += values[i];
-    alt += values[i] * static_cast<double>((i % 64) + 1);
-  }
-  return StrFormat("%.17g|%.17g", sum, alt);
-}
 
 // ---------------------------------------------------------------------------
 // Pass 1: the pre-refactor implementations, frozen. Row-major coordinate
@@ -115,20 +96,21 @@ double LegacyMhr(const Dataset& data, const UtilityNet& net,
 }
 
 int Run(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
   const int dim = static_cast<int>(flags.GetInt("dim", 6));
   const size_t net_size = static_cast<size_t>(flags.GetInt("net", 20000));
   const int k = static_cast<int>(flags.GetInt("k", 20));
+  const size_t cand_target = static_cast<size_t>(flags.GetInt("cand", 1000));
   const int reps = static_cast<int>(flags.GetInt("reps", 5));
   const int sweep_iters = static_cast<int>(flags.GetInt("sweep_iters", 50));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  if (!bench::CheckFlags(flags)) return 1;
 
   Rng rng(seed);
   const Dataset data = GenAntiCorrelated(n, dim, &rng).NormalizedMinMax();
   const std::vector<int> skyline = ComputeSkyline(data);
   std::vector<int> cand_rows;
-  const size_t cand_target = static_cast<size_t>(flags.GetInt("cand", 1000));
   const size_t cand_count = std::min(cand_target, skyline.size());
   for (size_t i = 0; i < cand_count; ++i) {
     cand_rows.push_back(skyline[i * skyline.size() / cand_count]);
@@ -141,16 +123,17 @@ int Run(int argc, char** argv) {
         skyline[static_cast<size_t>(i) * skyline.size() / static_cast<size_t>(k)]);
   }
 
-  std::fprintf(stdout,
-               "# bench=kernel n=%zu dim=%d net=%zu k=%d cand=%zu reps=%d "
-               "sweep_iters=%d seed=%llu simd_detected=%s "
-               "passes=1:legacy,2:kernel-scalar,3:kernel-simd\n",
-               n, dim, net_size, k, cand_rows.size(), reps, sweep_iters,
-               static_cast<unsigned long long>(seed),
-               simd::DispatchLevelName(simd::DetectedLevel()));
-  std::fprintf(stdout, "op,threads,ms,checksum\n");
+  bench::PrintReportHead(
+      "kernel", {{"n", std::to_string(n)},
+                 {"dim", std::to_string(dim)},
+                 {"net", std::to_string(net_size)},
+                 {"k", std::to_string(k)},
+                 {"cand", std::to_string(cand_rows.size())},
+                 {"reps", std::to_string(reps)},
+                 {"sweep_iters", std::to_string(sweep_iters)},
+                 {"seed", std::to_string(seed)},
+                 {"passes", "1:legacy,2:kernel-scalar,3:kernel-simd"}});
 
-  std::vector<OpResult> results;
   for (int pass = 1; pass <= 3; ++pass) {
     if (pass == 2) simd::SetMode(simd::SimdMode::kOff);
     if (pass == 3) simd::SetMode(simd::SimdMode::kAuto);
@@ -158,29 +141,27 @@ int Run(int argc, char** argv) {
     // net_build: the denominator precompute over the skyline.
     std::vector<double> legacy_best;
     {
-      double best_ms = -1.0;
+      bench::BestOfReps timer;
       std::string checksum;
       for (int r = 0; r < reps; ++r) {
         if (pass == 1) {
-          Stopwatch sw;
+          timer.Start();
           LegacyNetBuild(data, net, skyline, &legacy_best);
-          const double ms = sw.ElapsedMillis();
-          if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
-          checksum = Digest(legacy_best.data(), legacy_best.size());
+          timer.Stop();
+          checksum = bench::Digest(legacy_best);
         } else {
-          Stopwatch sw;
+          timer.Start();
           const NetEvaluator eval(&data, &net, skyline, /*threads=*/1);
-          const double ms = sw.ElapsedMillis();
-          if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
-          checksum = Digest(eval.best_data(), net_size);
+          timer.Stop();
+          checksum = bench::Digest(eval.best_data(), net_size);
         }
       }
-      results.push_back({"net_build", pass, best_ms, checksum});
+      bench::PrintResult("net_build", pass, timer.best_ms(), checksum);
     }
 
     // cache_fill: the candidates x directions happiness matrix.
     {
-      double best_ms = -1.0;
+      bench::BestOfReps timer;
       std::string checksum;
       for (int r = 0; r < reps; ++r) {
         if (pass == 1) {
@@ -189,57 +170,49 @@ int Run(int argc, char** argv) {
           // zero-init plus first-touch page faults per build. The kernel
           // passes recycle the allocation through the scratch pool, which
           // is part of the measured improvement.
-          Stopwatch sw;
+          timer.Start();
           std::vector<double> cache(cand_rows.size() * net_size);
           for (size_t i = 0; i < cand_rows.size(); ++i) {
             LegacyHappinessRow(data, net, legacy_best, cand_rows[i],
                                &cache[i * net_size]);
           }
-          const double ms = sw.ElapsedMillis();
-          if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
-          checksum = Digest(cache.data(), net_size);  // First row.
+          timer.Stop();
+          checksum = bench::Digest(cache.data(), net_size);  // First row.
         } else {
           NetEvaluator fresh(&data, &net, skyline, /*threads=*/1);
-          Stopwatch sw;
+          timer.Start();
           fresh.CacheCandidates(cand_rows);
-          const double ms = sw.ElapsedMillis();
-          if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
+          timer.Stop();
           const double* row = fresh.cached_row(cand_rows.front());
-          checksum = row != nullptr ? Digest(row, net_size) : "uncached";
+          checksum = row != nullptr ? bench::Digest(row, net_size) : "uncached";
         }
       }
-      results.push_back({"cache_fill", pass, best_ms, checksum});
+      bench::PrintResult("cache_fill", pass, timer.best_ms(), checksum);
     }
 
     // mhr_sweep: batched full min-over-net sweeps for the solution set.
     {
-      double best_ms = -1.0;
+      bench::BestOfReps timer;
       double mhr = 0.0;
       if (pass == 1) {
         for (int r = 0; r < reps; ++r) {
-          Stopwatch sw;
+          timer.Start();
           for (int it = 0; it < sweep_iters; ++it) {
             mhr = LegacyMhr(data, net, legacy_best, solution);
           }
-          const double ms = sw.ElapsedMillis();
-          if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
+          timer.Stop();
         }
       } else {
         const NetEvaluator eval(&data, &net, skyline, /*threads=*/1);
         for (int r = 0; r < reps; ++r) {
-          Stopwatch sw;
+          timer.Start();
           for (int it = 0; it < sweep_iters; ++it) mhr = eval.Mhr(solution);
-          const double ms = sw.ElapsedMillis();
-          if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
+          timer.Stop();
         }
       }
-      results.push_back({"mhr_sweep", pass, best_ms, StrFormat("%.17g", mhr)});
+      bench::PrintResult("mhr_sweep", pass, timer.best_ms(),
+                         StrFormat("%.17g", mhr));
     }
-  }
-
-  for (const OpResult& r : results) {
-    std::fprintf(stdout, "%s,%d,%.3f,%s\n", r.op.c_str(), r.pass, r.ms,
-                 r.checksum.c_str());
   }
   return 0;
 }

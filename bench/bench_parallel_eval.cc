@@ -1,12 +1,8 @@
 // bench_parallel_eval: speedup harness for the parallel happiness-evaluation
 // engine. Times the NetEvaluator denominator precompute, the candidate-cache
 // matrix fill, the Mhr net sweep and (optionally) the witness-LP sweep at a
-// grid of thread counts, and emits machine-readable CSV for
-// tools/bench_to_json:
-//
-//   # bench=parallel_eval n=10000 dim=6 net=20000 ...
-//   op,threads,ms,checksum
-//   mhr_sweep,1,84.211,0.73481205...
+// grid of thread counts, and prints the perf-CSV report of
+// bench/bench_util.h for tools/bench_to_json.
 //
 // Each op's checksum is a serial digest of the produced values; it must be
 // byte-identical across thread counts (bench_to_json enforces this), which
@@ -23,9 +19,7 @@
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "common/simd.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/exact_evaluator.h"
 #include "core/net_evaluator.h"
 #include "data/generators.h"
@@ -35,45 +29,22 @@
 namespace fairhms {
 namespace {
 
-struct OpResult {
-  std::string op;
-  int threads = 0;
-  double ms = 0.0;
-  std::string checksum;
-};
-
-/// Serial, order-fixed digest of a value sequence (bit-identical values
-/// digest to the same string regardless of how they were computed).
-std::string Digest(const double* values, size_t count) {
-  double sum = 0.0;
-  double alt = 0.0;  // Position-sensitive companion: catches reorderings.
-  for (size_t i = 0; i < count; ++i) {
-    sum += values[i];
-    alt += values[i] * static_cast<double>((i % 64) + 1);
-  }
-  return StrFormat("%.17g|%.17g", sum, alt);
-}
-
 int Run(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
   const int dim = static_cast<int>(flags.GetInt("dim", 6));
   const size_t net_size = static_cast<size_t>(flags.GetInt("net", 20000));
   const int k = static_cast<int>(flags.GetInt("k", 20));
+  const size_t cand_target = static_cast<size_t>(flags.GetInt("cand", 1000));
   const int reps = static_cast<int>(flags.GetInt("reps", 5));
   const int sweep_iters = static_cast<int>(flags.GetInt("sweep_iters", 50));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const bool with_lp = flags.Has("lp");
-
   std::vector<int> thread_grid;
-  for (const std::string& t :
-       Split(flags.GetString("threads", "1,2,4"), ',')) {
-    int64_t v = 0;
-    if (!ParseInt64(Trim(t), &v) || v < 1) {
-      std::fprintf(stderr, "bad --threads entry '%s'\n", t.c_str());
-      return 1;
-    }
-    thread_grid.push_back(static_cast<int>(v));
+  if (!bench::ParsePositiveInts("threads", flags.GetString("threads", "1,2,4"),
+                                &thread_grid) ||
+      !bench::CheckFlags(flags)) {
+    return 1;
   }
 
   Rng rng(seed);
@@ -82,7 +53,6 @@ int Run(int argc, char** argv) {
   // Cache workload: a strided candidate subset sized to stay within the
   // default CacheCandidates budget (anti-correlated skylines are ~0.9 n).
   std::vector<int> cand_rows;
-  const size_t cand_target = static_cast<size_t>(flags.GetInt("cand", 1000));
   const size_t cand_count = std::min(cand_target, skyline.size());
   for (size_t i = 0; i < cand_count; ++i) {
     cand_rows.push_back(skyline[i * skyline.size() / cand_count]);
@@ -98,86 +68,79 @@ int Run(int argc, char** argv) {
         skyline[static_cast<size_t>(i) * skyline.size() / static_cast<size_t>(k)]);
   }
 
-  std::fprintf(stdout,
-               "# bench=parallel_eval n=%zu dim=%d net=%zu k=%d cand=%zu "
-               "reps=%d sweep_iters=%d seed=%llu hardware_threads=%d "
-               "simd=%s\n",
-               n, dim, net_size, k, cand_rows.size(), reps, sweep_iters,
-               static_cast<unsigned long long>(seed), HardwareThreads(),
-               simd::DispatchLevelName(simd::ActiveLevel()));
-  std::fprintf(stdout, "op,threads,ms,checksum\n");
+  bench::PrintReportHead(
+      "parallel_eval",
+      {{"n", std::to_string(n)},
+       {"dim", std::to_string(dim)},
+       {"net", std::to_string(net_size)},
+       {"k", std::to_string(k)},
+       {"cand", std::to_string(cand_rows.size())},
+       {"reps", std::to_string(reps)},
+       {"sweep_iters", std::to_string(sweep_iters)},
+       {"seed", std::to_string(seed)},
+       {"simd", simd::DispatchLevelName(simd::ActiveLevel())}});
 
-  std::vector<OpResult> results;
   for (int threads : thread_grid) {
     // net_build: per-direction denominator precompute over the skyline.
     {
-      double best_ms = -1.0;
+      bench::BestOfReps timer;
       std::string checksum;
       for (int r = 0; r < reps; ++r) {
-        Stopwatch sw;
+        timer.Start();
         const NetEvaluator eval(&data, &net, skyline, threads);
-        const double ms = sw.ElapsedMillis();
-        if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
+        timer.Stop();
         std::vector<double> best(net_size);
         for (size_t j = 0; j < net_size; ++j) best[j] = eval.best(j);
-        checksum = Digest(best.data(), best.size());
+        checksum = bench::Digest(best);
       }
-      results.push_back({"net_build", threads, best_ms, checksum});
+      bench::PrintResult("net_build", threads, timer.best_ms(), checksum);
     }
 
     const NetEvaluator eval(&data, &net, skyline, threads);
 
     // cache_fill: the CacheCandidates matrix (candidates x net directions).
     {
-      double best_ms = -1.0;
+      bench::BestOfReps timer;
       std::string checksum;
       for (int r = 0; r < reps; ++r) {
         NetEvaluator fresh(&data, &net, skyline, threads);
-        Stopwatch sw;
+        timer.Start();
         fresh.CacheCandidates(cand_rows);
-        const double ms = sw.ElapsedMillis();
-        if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
+        timer.Stop();
         const double* row = fresh.cached_row(cand_rows.front());
-        checksum = row != nullptr ? Digest(row, net_size) : "uncached";
+        checksum = row != nullptr ? bench::Digest(row, net_size) : "uncached";
       }
-      results.push_back({"cache_fill", threads, best_ms, checksum});
+      bench::PrintResult("cache_fill", threads, timer.best_ms(), checksum);
     }
 
     // mhr_sweep: full min-over-net sweeps for the solution set. A single
     // sweep is a few milliseconds — too noise-prone to gate CI on — so the
     // timed region batches `sweep_iters` of them.
     {
-      double best_ms = -1.0;
+      bench::BestOfReps timer;
       double mhr = 0.0;
       for (int r = 0; r < reps; ++r) {
-        Stopwatch sw;
+        timer.Start();
         for (int it = 0; it < sweep_iters; ++it) mhr = eval.Mhr(solution);
-        const double ms = sw.ElapsedMillis();
-        if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
+        timer.Stop();
       }
-      results.push_back(
-          {"mhr_sweep", threads, best_ms, StrFormat("%.17g", mhr)});
+      bench::PrintResult("mhr_sweep", threads, timer.best_ms(),
+                         StrFormat("%.17g", mhr));
     }
 
     // witness_lps: one exact LP per skyline witness (F-Greedy's inner loop).
     if (with_lp) {
-      double best_ms = -1.0;
+      bench::BestOfReps timer;
       std::string checksum;
       for (int r = 0; r < reps; ++r) {
-        Stopwatch sw;
+        timer.Start();
         const std::vector<double> regrets =
             AllWitnessRegretsLp(data, skyline, solution, threads);
-        const double ms = sw.ElapsedMillis();
-        if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
-        checksum = Digest(regrets.data(), regrets.size());
+        timer.Stop();
+        checksum = bench::Digest(regrets);
       }
-      results.push_back({"witness_lps", threads, best_ms, checksum});
+      bench::PrintResult("witness_lps", threads, timer.best_ms(), checksum);
     }
-  }
-
-  for (const OpResult& r : results) {
-    std::fprintf(stdout, "%s,%d,%.3f,%s\n", r.op.c_str(), r.threads, r.ms,
-                 r.checksum.c_str());
   }
   return 0;
 }

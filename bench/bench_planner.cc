@@ -30,34 +30,12 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "data/generators.h"
 #include "data/grouping.h"
 #include "fairness/group_bounds.h"
 
 namespace fairhms {
 namespace {
-
-/// Serial, order-fixed digest of a value sequence (bit-identical values
-/// digest to the same string regardless of how they were computed).
-std::string Digest(const std::vector<double>& values) {
-  double sum = 0.0;
-  double alt = 0.0;  // Position-sensitive companion: catches reorderings.
-  for (size_t i = 0; i < values.size(); ++i) {
-    sum += values[i];
-    alt += values[i] * static_cast<double>((i % 64) + 1);
-  }
-  return StrFormat("%.17g|%.17g", sum, alt);
-}
-
-void FoldResult(const SolverResult& result, std::vector<double>* digest) {
-  digest->push_back(static_cast<double>(result.solution.rows.size()));
-  for (int row : result.solution.rows) {
-    digest->push_back(static_cast<double>(row));
-  }
-  digest->push_back(result.solution.mhr);
-  digest->push_back(static_cast<double>(result.violations));
-}
 
 struct PassStats {
   double ms = 0.0;
@@ -66,7 +44,7 @@ struct PassStats {
 };
 
 int Run(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
   const int dim = static_cast<int>(flags.GetInt("dim", 6));
   const int groups = static_cast<int>(flags.GetInt("groups", 4));
@@ -76,6 +54,7 @@ int Run(int argc, char** argv) {
   const int k_max = static_cast<int>(flags.GetInt("k_max", 24));
   const int sweeps = static_cast<int>(flags.GetInt("sweeps", 2));
   const double alpha = flags.GetDouble("alpha", 0.2);
+  if (!bench::CheckFlags(flags)) return 1;
   if (k_min < 1 || k_max < k_min) {
     std::fprintf(stderr, "bad k range [%d, %d]\n", k_min, k_max);
     return 1;
@@ -106,14 +85,19 @@ int Run(int argc, char** argv) {
     return request;
   };
 
-  std::fprintf(stdout,
-               "# bench=planner pass1=cold pass2=warm n=%zu dim=%d "
-               "groups=%d k_min=%d k_max=%d sweeps=%d queries=%zu "
-               "alpha=%g solver_threads=%d seed=%llu hardware_threads=%d\n",
-               n, dim, groups, k_min, k_max, sweeps, ks.size(), alpha,
-               threads, static_cast<unsigned long long>(seed),
-               HardwareThreads());
-  std::fprintf(stdout, "op,threads,ms,checksum\n");
+  bench::PrintReportHead("planner",
+                         {{"pass1", "cold"},
+                          {"pass2", "warm"},
+                          {"n", std::to_string(n)},
+                          {"dim", std::to_string(dim)},
+                          {"groups", std::to_string(groups)},
+                          {"k_min", std::to_string(k_min)},
+                          {"k_max", std::to_string(k_max)},
+                          {"sweeps", std::to_string(sweeps)},
+                          {"queries", std::to_string(ks.size())},
+                          {"alpha", StrFormat("%g", alpha)},
+                          {"solver_threads", std::to_string(threads)},
+                          {"seed", std::to_string(seed)}});
 
   // One pass of one op: serve the whole sweep through `session`. A
   // non-empty `algo_check` requires every solve (planned or direct) to
@@ -139,7 +123,7 @@ int Run(int argc, char** argv) {
         return false;
       }
       if (result->warm_start_used) ++stats->warm_used;
-      FoldResult(*result, &stats->digest);
+      bench::FoldResult(*result, &stats->digest);
     }
     return true;
   };
@@ -171,10 +155,8 @@ int Run(int argc, char** argv) {
       return 1;
     }
   }
-  std::fprintf(stdout, "warm_k_sweep,1,%.3f,%s\n", cold.ms,
-               Digest(cold.digest).c_str());
-  std::fprintf(stdout, "warm_k_sweep,2,%.3f,%s\n", warm.ms,
-               Digest(warm.digest).c_str());
+  bench::PrintResult("warm_k_sweep", 1, cold.ms, bench::Digest(cold.digest));
+  bench::PrintResult("warm_k_sweep", 2, warm.ms, bench::Digest(warm.digest));
 
   // --- Op 2: planned_vs_direct --------------------------------------------
   // One session for both passes: the explicit pass trains the cost model
@@ -198,10 +180,10 @@ int Run(int argc, char** argv) {
       return 1;
     }
   }
-  std::fprintf(stdout, "planned_vs_direct,1,%.3f,%s\n", direct.ms,
-               Digest(direct.digest).c_str());
-  std::fprintf(stdout, "planned_vs_direct,2,%.3f,%s\n", planned.ms,
-               Digest(planned.digest).c_str());
+  bench::PrintResult("planned_vs_direct", 1, direct.ms,
+                     bench::Digest(direct.digest));
+  bench::PrintResult("planned_vs_direct", 2, planned.ms,
+                     bench::Digest(planned.digest));
 
   std::fprintf(stderr,
                "warm_k_sweep: %zu queries, cold %.1f ms, warm %.1f ms "

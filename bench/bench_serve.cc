@@ -38,7 +38,6 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "data/generators.h"
 #include "data/grouping.h"
 
@@ -72,24 +71,6 @@ std::string NormalizeResponse(std::string s) {
     }
   }
   return s;
-}
-
-/// Order-insensitive digest of the normalized response set: lines are
-/// sorted before hashing, so any client split that serves the same battery
-/// digests identically.
-std::string Digest(std::vector<std::string> lines) {
-  std::sort(lines.begin(), lines.end());
-  uint64_t hash = 1469598103934665603ull;  // FNV-1a.
-  for (const std::string& line : lines) {
-    for (const char c : line) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ull;
-    }
-    hash ^= static_cast<unsigned char>('\n');
-    hash *= 1099511628211ull;
-  }
-  return StrFormat("%zu|%016llx", lines.size(),
-                   static_cast<unsigned long long>(hash));
 }
 
 /// One pipelined loopback client: a writer thread streams its share of the
@@ -141,23 +122,19 @@ bool RunClient(int port, const std::vector<std::string>& lines,
 }
 
 int Run(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 20000));
   const int dim = static_cast<int>(flags.GetInt("dim", 4));
   const int groups = static_cast<int>(flags.GetInt("groups", 3));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const size_t lines = static_cast<size_t>(flags.GetInt("lines", 240));
   const int workers = static_cast<int>(flags.GetInt("workers", 4));
-
   std::vector<int> client_counts;
-  for (const std::string& t :
-       Split(flags.GetString("clients", "1,2,4,8"), ',')) {
-    int64_t v = 0;
-    if (!ParseInt64(Trim(t), &v) || v < 1) {
-      std::fprintf(stderr, "bad --clients entry '%s'\n", t.c_str());
-      return 1;
-    }
-    client_counts.push_back(static_cast<int>(v));
+  if (!bench::ParsePositiveInts("clients",
+                                flags.GetString("clients", "1,2,4,8"),
+                                &client_counts) ||
+      !bench::CheckFlags(flags)) {
+    return 1;
   }
 
   // The fixed read-only battery: a deterministic mix of algorithms, k and
@@ -172,12 +149,12 @@ int Run(int argc, char** argv) {
         i % 2 == 0 ? "main" : "side"));
   }
 
-  std::fprintf(stdout,
-               "# bench=serve n=%zu dim=%d groups=%d lines=%zu workers=%d "
-               "seed=%llu hardware_threads=%d\n",
-               n, dim, groups, lines, workers,
-               static_cast<unsigned long long>(seed), HardwareThreads());
-  std::fprintf(stdout, "op,threads,ms,checksum\n");
+  bench::PrintReportHead("serve", {{"n", std::to_string(n)},
+                                   {"dim", std::to_string(dim)},
+                                   {"groups", std::to_string(groups)},
+                                   {"lines", std::to_string(lines)},
+                                   {"workers", std::to_string(workers)},
+                                   {"seed", std::to_string(seed)}});
 
   for (const int clients : client_counts) {
     // A fresh serving stack per pass: no cross-pass cache warmth, so each
@@ -261,9 +238,8 @@ int Run(int argc, char** argv) {
         normalized.push_back(NormalizeResponse(line));
       }
     }
-    std::fprintf(stdout, "serve,%d,%.3f,%s\n", clients, ms,
-                 Digest(std::move(normalized)).c_str());
-    std::fflush(stdout);
+    bench::PrintResult("serve", clients, ms,
+                       bench::DigestLines(std::move(normalized)));
     std::fprintf(stderr,
                  "bench_serve: clients=%d served %zu lines in %.1f ms "
                  "(%.0f qps)\n",

@@ -33,7 +33,6 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/evaluate.h"
 #include "data/generators.h"
 #include "data/grouping.h"
@@ -43,39 +42,14 @@
 namespace fairhms {
 namespace {
 
-/// Serial, order-fixed digest of a value sequence (bit-identical values
-/// digest to the same string regardless of how they were computed).
-std::string Digest(const std::vector<double>& values) {
-  double sum = 0.0;
-  double alt = 0.0;  // Position-sensitive companion: catches reorderings.
-  for (size_t i = 0; i < values.size(); ++i) {
-    sum += values[i];
-    alt += values[i] * static_cast<double>((i % 64) + 1);
-  }
-  return StrFormat("%.17g|%.17g", sum, alt);
-}
-
 struct Query {
   std::string algo;
   int k = 0;
   double alpha = 0.0;
 };
 
-/// Folds one result (and its reference happiness ratio) into the digest
-/// stream.
-void FoldResult(const SolverResult& result, double reference_mhr,
-                std::vector<double>* digest) {
-  digest->push_back(static_cast<double>(result.solution.rows.size()));
-  for (int row : result.solution.rows) {
-    digest->push_back(static_cast<double>(row));
-  }
-  digest->push_back(result.solution.mhr);
-  digest->push_back(reference_mhr);
-  digest->push_back(static_cast<double>(result.violations));
-}
-
 int Run(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
   const int dim = static_cast<int>(flags.GetInt("dim", 6));
   const int groups = static_cast<int>(flags.GetInt("groups", 4));
@@ -83,25 +57,23 @@ int Run(int argc, char** argv) {
   const int threads = static_cast<int>(flags.GetInt("solver_threads", 1));
   const int repeat = static_cast<int>(flags.GetInt("repeat_grid", 1));
   const size_t ref_net = static_cast<size_t>(flags.GetInt("ref_net", 20000));
+  const std::string algos_flag =
+      flags.GetString("algos", "bigreedy,bigreedy+,intcov");
+  const std::string ks_flag = flags.GetString("ks", "6,10,14,18,22");
+  const std::string alphas_flag =
+      flags.GetString("alphas", "0.05,0.15,0.25,0.35");
+  std::vector<int> ks;
+  if (!bench::ParsePositiveInts("ks", ks_flag, &ks) ||
+      !bench::CheckFlags(flags)) {
+    return 1;
+  }
 
   std::vector<std::string> algos;
-  for (const std::string& a :
-       Split(flags.GetString("algos", "bigreedy,bigreedy+,intcov"), ',')) {
+  for (const std::string& a : Split(algos_flag, ',')) {
     algos.push_back(std::string(Trim(a)));
   }
-  std::vector<int> ks;
-  for (const std::string& t :
-       Split(flags.GetString("ks", "6,10,14,18,22"), ',')) {
-    int64_t v = 0;
-    if (!ParseInt64(Trim(t), &v) || v < 1) {
-      std::fprintf(stderr, "bad --ks entry '%s'\n", t.c_str());
-      return 1;
-    }
-    ks.push_back(static_cast<int>(v));
-  }
   std::vector<double> alphas;
-  for (const std::string& t :
-       Split(flags.GetString("alphas", "0.05,0.15,0.25,0.35"), ',')) {
+  for (const std::string& t : Split(alphas_flag, ',')) {
     double v = 0.0;
     if (!ParseDouble(Trim(t), &v) || v < 0.0) {
       std::fprintf(stderr, "bad --alphas entry '%s'\n", t.c_str());
@@ -155,18 +127,20 @@ int Run(int argc, char** argv) {
     return EvaluateMhr(data, skyline, rows, eval_opts);
   };
 
-  std::fprintf(stdout,
-               "# bench=session_amortization pass1=cold pass2=warm n=%zu "
-               "dim=%d groups=%d queries=%zu algos=%s ks=%s alphas=%s "
-               "ref_net=%zu solver_threads=%d seed=%llu "
-               "hardware_threads=%d\n",
-               n, dim, groups, queries.size(),
-               flags.GetString("algos", "bigreedy,bigreedy+,intcov").c_str(),
-               flags.GetString("ks", "6,10,14,18,22").c_str(),
-               flags.GetString("alphas", "0.05,0.15,0.25,0.35").c_str(),
-               ref_net, threads, static_cast<unsigned long long>(seed),
-               HardwareThreads());
-  std::fprintf(stdout, "op,threads,ms,checksum\n");
+  bench::PrintReportHead(
+      "session_amortization",
+      {{"pass1", "cold"},
+       {"pass2", "warm"},
+       {"n", std::to_string(n)},
+       {"dim", std::to_string(dim)},
+       {"groups", std::to_string(groups)},
+       {"queries", std::to_string(queries.size())},
+       {"algos", algos_flag},
+       {"ks", ks_flag},
+       {"alphas", alphas_flag},
+       {"ref_net", std::to_string(ref_net)},
+       {"solver_threads", std::to_string(threads)},
+       {"seed", std::to_string(seed)}});
 
   // Per-algorithm timing buckets plus the whole-batch rollup.
   struct Bucket {
@@ -203,8 +177,8 @@ int Run(int argc, char** argv) {
     Bucket& b = bucket_of(q.algo);
     b.cold_ms += ms;
     batch.cold_ms += ms;
-    FoldResult(*result, mhr, &b.cold_digest);
-    FoldResult(*result, mhr, &batch.cold_digest);
+    bench::FoldResult(*result, &b.cold_digest, mhr);
+    bench::FoldResult(*result, &batch.cold_digest, mhr);
   }
 
   // Warm pass: the same queries through one pinned session.
@@ -228,15 +202,15 @@ int Run(int argc, char** argv) {
     Bucket& b = bucket_of(q.algo);
     b.warm_ms += ms;
     batch.warm_ms += ms;
-    FoldResult(*result, mhr, &b.warm_digest);
-    FoldResult(*result, mhr, &batch.warm_digest);
+    bench::FoldResult(*result, &b.warm_digest, mhr);
+    bench::FoldResult(*result, &batch.warm_digest, mhr);
   }
 
   for (size_t i = 0; i < buckets.size(); ++i) {
-    std::fprintf(stdout, "%s,1,%.3f,%s\n", bucket_names[i].c_str(),
-                 buckets[i].cold_ms, Digest(buckets[i].cold_digest).c_str());
-    std::fprintf(stdout, "%s,2,%.3f,%s\n", bucket_names[i].c_str(),
-                 buckets[i].warm_ms, Digest(buckets[i].warm_digest).c_str());
+    bench::PrintResult(bucket_names[i], 1, buckets[i].cold_ms,
+                       bench::Digest(buckets[i].cold_digest));
+    bench::PrintResult(bucket_names[i], 2, buckets[i].warm_ms,
+                       bench::Digest(buckets[i].warm_digest));
   }
 
   const CacheStats stats = session->cache_stats();

@@ -30,7 +30,6 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "data/csv.h"
 #include "data/generators.h"
 #include "data/grouping.h"
@@ -40,27 +39,6 @@
 
 namespace fairhms {
 namespace {
-
-/// Serial, order-fixed digest (same contract as the other bench harnesses).
-std::string Digest(const std::vector<double>& values) {
-  double sum = 0.0;
-  double alt = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    sum += values[i];
-    alt += values[i] * static_cast<double>((i % 64) + 1);
-  }
-  return StrFormat("%.17g|%.17g", sum, alt);
-}
-
-/// Folds one query's outcome into the digest.
-void Fold(const SolverResult& result, std::vector<double>* digest) {
-  digest->push_back(static_cast<double>(result.solution.rows.size()));
-  for (int row : result.solution.rows) {
-    digest->push_back(static_cast<double>(row));
-  }
-  digest->push_back(result.solution.mhr);
-  digest->push_back(static_cast<double>(result.violations));
-}
 
 /// Folds the complete maintained skyline-index state, so the checksum also
 /// certifies what the snapshot carried — not just results computed from it.
@@ -79,7 +57,7 @@ void FoldIndexState(const SkylineIndex& index, std::vector<double>* digest) {
 }
 
 int Run(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
   const int dim = static_cast<int>(flags.GetInt("dim", 6));
   const int groups = static_cast<int>(flags.GetInt("groups", 4));
@@ -90,18 +68,14 @@ int Run(int argc, char** argv) {
   const std::string ks_flag = flags.GetString("ks", "6,10,14");
   const std::string work_dir = flags.GetString("work_dir", ".");
 
+  std::vector<int> ks;
+  if (!bench::ParsePositiveInts("ks", ks_flag, &ks) ||
+      !bench::CheckFlags(flags)) {
+    return 1;
+  }
   std::vector<std::string> algos;
   for (const std::string& a : Split(algos_flag, ',')) {
     algos.push_back(std::string(Trim(a)));
-  }
-  std::vector<int> ks;
-  for (const std::string& t : Split(ks_flag, ',')) {
-    int64_t v = 0;
-    if (!ParseInt64(Trim(t), &v) || v < 1) {
-      std::fprintf(stderr, "bad --ks entry '%s'\n", t.c_str());
-      return 1;
-    }
-    ks.push_back(static_cast<int>(v));
   }
   const std::string csv_path = work_dir + "/bench_snapshot_data.csv";
   const std::string snap_path = work_dir + "/bench_snapshot_state.snap";
@@ -116,14 +90,17 @@ int Run(int argc, char** argv) {
     }
   }
 
-  std::fprintf(stdout,
-               "# bench=snapshot pass1=cold_ingest pass2=snapshot_restore "
-               "n=%zu dim=%d groups=%d ks=%s alpha=%g algos=%s "
-               "solver_threads=%d seed=%llu hardware_threads=%d\n",
-               n, dim, groups, ks_flag.c_str(), alpha, algos_flag.c_str(),
-               threads, static_cast<unsigned long long>(seed),
-               HardwareThreads());
-  std::fprintf(stdout, "op,threads,ms,checksum\n");
+  bench::PrintReportHead("snapshot",
+                         {{"pass1", "cold_ingest"},
+                          {"pass2", "snapshot_restore"},
+                          {"n", std::to_string(n)},
+                          {"dim", std::to_string(dim)},
+                          {"groups", std::to_string(groups)},
+                          {"ks", ks_flag},
+                          {"alpha", StrFormat("%g", alpha)},
+                          {"algos", algos_flag},
+                          {"solver_threads", std::to_string(threads)},
+                          {"seed", std::to_string(seed)}});
 
   auto make_request = [&](const Grouping& grouping, const Dataset& data,
                           const std::string& algo, int k) {
@@ -182,7 +159,7 @@ int Run(int argc, char** argv) {
           return 1;
         }
         cold_query_ms += query_timer.ElapsedMillis();
-        Fold(*result, &cold_digest);
+        bench::FoldResult(*result, &cold_digest);
       }
     }
     FoldIndexState(*session->index(), &cold_digest);
@@ -231,7 +208,7 @@ int Run(int argc, char** argv) {
           return 1;
         }
         restore_query_ms += query_timer.ElapsedMillis();
-        Fold(*result, &restore_digest);
+        bench::FoldResult(*result, &restore_digest);
       }
     }
     FoldIndexState(*(*session)->index(), &restore_digest);
@@ -245,8 +222,7 @@ int Run(int argc, char** argv) {
 
   auto emit = [](const char* op, int pass, double ms,
                  const std::vector<double>& digest) {
-    std::fprintf(stdout, "%s,%d,%.3f,%s\n", op, pass, ms,
-                 Digest(digest).c_str());
+    bench::PrintResult(op, pass, ms, bench::Digest(digest));
   };
   // Both passes share the full digest: a restored state that diverges
   // anywhere — query rows, mhr, violations, or any skyline-index entry —

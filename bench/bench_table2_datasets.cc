@@ -11,7 +11,6 @@ namespace fairhms {
 namespace {
 
 using bench::DatasetCase;
-using bench::Flags;
 using bench::MakeCase;
 
 void Row(const DatasetCase& c, const char* dataset, const char* group) {
@@ -24,10 +23,11 @@ void Row(const DatasetCase& c, const char* dataset, const char* group) {
 }
 
 int Run(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const size_t anticor_n =
       static_cast<size_t>(flags.GetInt("anticor_n", flags.Has("full") ? 10000 : 4000));
+  if (!bench::CheckFlags(flags)) return 1;
 
   std::printf("=== Table 2: Statistics of datasets (replica defaults) ===\n");
   std::printf("%-16s %-10s %3s %9s %4s %10s\n", "Dataset", "Group", "d", "n",

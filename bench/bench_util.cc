@@ -1,7 +1,7 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "algo/baselines.h"
 #include "algo/bigreedy.h"
@@ -9,7 +9,9 @@
 #include "algo/group_adapter.h"
 #include "algo/intcov.h"
 #include "common/random.h"
+#include "common/simd.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "core/evaluate.h"
 #include "data/generators.h"
 #include "skyline/skyline.h"
@@ -17,42 +19,31 @@
 namespace fairhms {
 namespace bench {
 
-Flags::Flags(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) continue;
-    const std::string s(arg + 2);
-    const size_t eq = s.find('=');
-    if (eq == std::string::npos) {
-      kv_[s] = "1";
-    } else {
-      kv_[s.substr(0, eq)] = s.substr(eq + 1);
-    }
+bool CheckFlags(const cli::Flags& flags) {
+  if (Status st = flags.ParseError(); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.message().c_str());
+    return false;
   }
+  const std::vector<std::string> unknown = flags.Unknown();
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "unknown flag --%s\n", unknown.front().c_str());
+    return false;
+  }
+  return true;
 }
 
-bool Flags::Has(const std::string& key) const { return kv_.count(key) > 0; }
-
-int64_t Flags::GetInt(const std::string& key, int64_t def) const {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
-  int64_t v = def;
-  ParseInt64(it->second, &v);
-  return v;
-}
-
-double Flags::GetDouble(const std::string& key, double def) const {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
-  double v = def;
-  ParseDouble(it->second, &v);
-  return v;
-}
-
-std::string Flags::GetString(const std::string& key,
-                             const std::string& def) const {
-  auto it = kv_.find(key);
-  return it == kv_.end() ? def : it->second;
+bool ParsePositiveInts(const std::string& key, const std::string& value,
+                       std::vector<int>* out) {
+  out->clear();
+  for (const std::string& t : Split(value, ',')) {
+    int64_t v = 0;
+    if (!ParseInt64(Trim(t), &v) || v < 1) {
+      std::fprintf(stderr, "bad --%s entry '%s'\n", key.c_str(), t.c_str());
+      return false;
+    }
+    out->push_back(static_cast<int>(v));
+  }
+  return true;
 }
 
 namespace {
@@ -322,6 +313,90 @@ std::string FormatMs(const RunResult& r) {
 std::string FormatErr(const RunResult& r) {
   if (!r.ok) return "-";
   return StrFormat("%d", r.violations);
+}
+
+std::string Digest(const double* values, size_t count) {
+  double sum = 0.0;
+  double alt = 0.0;
+  for (size_t i = 0; i < count; ++i) {
+    sum += values[i];
+    alt += values[i] * static_cast<double>((i % 64) + 1);
+  }
+  return StrFormat("%.17g|%.17g", sum, alt);
+}
+
+std::string Digest(const std::vector<double>& values) {
+  return Digest(values.data(), values.size());
+}
+
+std::string DigestLines(std::vector<std::string> lines) {
+  std::sort(lines.begin(), lines.end());
+  uint64_t hash = 1469598103934665603ull;
+  for (const std::string& line : lines) {
+    for (const char c : line) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 1099511628211ull;
+    }
+    hash ^= static_cast<unsigned char>('\n');
+    hash *= 1099511628211ull;
+  }
+  return StrFormat("%zu|%016llx", lines.size(),
+                   static_cast<unsigned long long>(hash));
+}
+
+void FoldResult(const SolverResult& result, std::vector<double>* digest,
+                std::optional<double> reference_mhr) {
+  digest->push_back(static_cast<double>(result.solution.rows.size()));
+  for (int row : result.solution.rows) {
+    digest->push_back(static_cast<double>(row));
+  }
+  digest->push_back(result.solution.mhr);
+  if (reference_mhr.has_value()) digest->push_back(*reference_mhr);
+  digest->push_back(static_cast<double>(result.violations));
+}
+
+void BestOfReps::Stop() {
+  const double ms = watch_.ElapsedMillis();
+  if (best_ms_ < 0.0 || ms < best_ms_) best_ms_ = ms;
+}
+
+namespace {
+
+/// The compiler that built this binary, with the blanks and '=' of
+/// __VERSION__ (which the config line's `k=v` syntax reserves) replaced.
+std::string CompilerName() {
+#if defined(__GNUC__) && !defined(__clang__)
+  std::string name = "gcc-" __VERSION__;
+#elif defined(__VERSION__)
+  std::string name = __VERSION__;
+#else
+  std::string name = "unknown";
+#endif
+  for (char& c : name) {
+    if (c == ' ' || c == '=') c = '_';
+  }
+  return name;
+}
+
+}  // namespace
+
+void PrintReportHead(const std::string& name, const ConfigEntries& config) {
+  std::string line = "# bench=" + name;
+  for (const auto& [key, value] : config) line += " " + key + "=" + value;
+  const std::string build_type = FAIRHMS_BUILD_TYPE;
+  line += StrFormat(
+      " hardware_threads=%d simd_detected=%s simd_active=%s compiler=%s "
+      "build_type=%s",
+      HardwareThreads(), simd::DispatchLevelName(simd::DetectedLevel()),
+      simd::DispatchLevelName(simd::ActiveLevel()), CompilerName().c_str(),
+      build_type.empty() ? "unspecified" : build_type.c_str());
+  std::printf("%s\nop,threads,ms,checksum\n", line.c_str());
+}
+
+void PrintResult(const std::string& op, int threads, double ms,
+                 const std::string& checksum) {
+  std::printf("%s,%d,%.3f,%s\n", op.c_str(), threads, ms, checksum.c_str());
+  std::fflush(stdout);
 }
 
 }  // namespace bench

@@ -1,42 +1,57 @@
-// Shared infrastructure for the paper-reproduction bench harnesses.
+// Shared infrastructure for the bench harnesses.
 //
-// Each bench binary regenerates one table or figure of the paper: it builds
-// the dataset cases (statistical replicas; load the real CSVs via data/csv.h
-// if you have them), runs the algorithm roster, and prints the same
-// rows/series the paper reports. Pass --full for paper-scale extremes
-// (larger n / d); defaults keep every binary in the seconds-to-minutes
-// range.
+// Paper reproduction: each bench_fig*/bench_table* binary regenerates one
+// table or figure of the paper: it builds the dataset cases (statistical
+// replicas; load the real CSVs via data/csv.h if you have them), runs the
+// algorithm roster, and prints the same rows/series the paper reports. Pass
+// --full for paper-scale extremes (larger n / d); defaults keep every binary
+// in the seconds-to-minutes range.
+//
+// Perf tracking: the speedup benches (bench_parallel_eval, bench_kernel,
+// bench_session_amortization, bench_dynamic_updates, bench_snapshot,
+// bench_serve, bench_planner) each print one CSV report that
+// tools/bench_to_json gates and turns into a BENCH_*.json:
+//
+//   # bench=<name> k=v ... hardware_threads=4 simd_detected=avx2 ...
+//   op,threads,ms,checksum
+//   mhr_sweep,1,84.211,0.73481205...|...
+//
+// Column 2 is the thread or client count, or the pass number in the benches
+// that compare implementations (their pass keys on the `#` line say which).
+// Each checksum digests what the op produced, so identical checksums across
+// column-2 values are a bit-identity check.
 
 #ifndef FAIRHMS_BENCH_BENCH_UTIL_H_
 #define FAIRHMS_BENCH_BENCH_UTIL_H_
 
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "api/solver.h"
 #include "common/statusor.h"
+#include "common/stopwatch.h"
 #include "core/solution.h"
 #include "data/dataset.h"
 #include "data/grouping.h"
 #include "fairness/group_bounds.h"
+#include "tools/cli_util.h"
 
 namespace fairhms {
 namespace bench {
 
-/// Parsed command-line flags: --key=value and boolean --key.
-class Flags {
- public:
-  Flags(int argc, char** argv);
-  bool Has(const std::string& key) const;
-  int64_t GetInt(const std::string& key, int64_t def) const;
-  double GetDouble(const std::string& key, double def) const;
-  std::string GetString(const std::string& key, const std::string& def) const;
+/// Call once every flag has been read: prints the first malformed value,
+/// stray positional argument or unknown (misspelled) flag to stderr and
+/// returns false, so a typo never silently runs the default grid.
+bool CheckFlags(const cli::Flags& flags);
 
- private:
-  std::map<std::string, std::string> kv_;
-};
+/// Parses `value`, the comma-separated list given to flag --`key`, into
+/// positive integers; prints the bad entry and returns false on a malformed
+/// one.
+bool ParsePositiveInts(const std::string& key, const std::string& value,
+                       std::vector<int>* out);
 
 /// One benchmark instance: normalized data + grouping + labels.
 struct DatasetCase {
@@ -112,6 +127,49 @@ void PrintRow(const std::string& x, const std::vector<std::string>& cells);
 std::string FormatMhr(const RunResult& r);
 std::string FormatMs(const RunResult& r);
 std::string FormatErr(const RunResult& r);
+
+// ---------------------------------------------------------------------------
+// Perf-CSV plumbing (see the file comment).
+
+/// Serial, order-fixed digest of a value sequence: bit-identical values
+/// digest to the same string however they were computed, and the
+/// position-weighted companion sum catches reorderings.
+std::string Digest(const double* values, size_t count);
+std::string Digest(const std::vector<double>& values);
+
+/// Order-insensitive FNV-1a digest of a set of lines ("<count>|<hash>"):
+/// the lines are sorted first, so any interleaving digests identically.
+std::string DigestLines(std::vector<std::string> lines);
+
+/// Appends one solver result to a digest stream: the selected rows, the
+/// solver's mhr, the reference mhr when given, and the violation count.
+void FoldResult(const SolverResult& result, std::vector<double>* digest,
+                std::optional<double> reference_mhr = std::nullopt);
+
+/// Best-of-reps wall clock: bracket the timed region of every rep with
+/// Start() and Stop(); best_ms() is the fastest rep.
+class BestOfReps {
+ public:
+  void Start() { watch_.Reset(); }
+  void Stop();
+  double best_ms() const { return best_ms_; }
+
+ private:
+  Stopwatch watch_;
+  double best_ms_ = -1.0;
+};
+
+/// Bench-specific `key=value` pairs of a report's config line, in order.
+using ConfigEntries = std::vector<std::pair<std::string, std::string>>;
+
+/// Prints the report head: `# bench=<name> k=v ...` followed by the host
+/// keys (hardware_threads, simd_detected, simd_active, compiler,
+/// build_type), then the `op,threads,ms,checksum` column header.
+void PrintReportHead(const std::string& name, const ConfigEntries& config);
+
+/// Prints one data row of the report and flushes it.
+void PrintResult(const std::string& op, int threads, double ms,
+                 const std::string& checksum);
 
 }  // namespace bench
 }  // namespace fairhms

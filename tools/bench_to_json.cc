@@ -1,14 +1,22 @@
-// bench_to_json: turns bench_parallel_eval's CSV into the speedup report
-// BENCH_parallel_eval.json tracked by CI, and gates on two regressions:
+// bench_to_json: turns the CSV report of any perf-tracking bench
+// (bench_parallel_eval, bench_kernel, bench_session_amortization,
+// bench_dynamic_updates, bench_snapshot, bench_serve, bench_planner; format
+// in bench/bench_util.h) into the JSON speedup report BENCH_*.json, and
+// gates on two regressions:
 //
-//   * determinism — every op's checksum must be byte-identical across
-//     thread counts (exit 2 otherwise);
+//   * bit-identity — every op's checksum must be byte-identical across its
+//     column-2 values: thread or client counts, or passes (exit 2
+//     otherwise);
 //   * throughput — each --min_speedup=op:threads:factor entry must hold
-//     against the op's 1-thread baseline (exit 1 otherwise).
+//     against the op's column-2 = 1 baseline (exit 1 otherwise).
 //
 //   bench_parallel_eval --threads=1,2,4 |
 //       bench_to_json --out=BENCH_parallel_eval.json
 //                     --min_speedup=mhr_sweep:4:1.5
+//
+// The report names its bench on the `# bench=<name> ...` config line; a CSV
+// without one is refused. Every grid and gate CI runs is a leg of the
+// bench matrix in .github/workflows/ci.yml.
 
 #include <cstdio>
 #include <fstream>
@@ -48,17 +56,29 @@ int Run(int argc, char** argv) {
   const cli::Flags flags(argc, argv);
   if (flags.Has("help")) {
     std::fputs(
-        "bench_to_json --in=FILE|- --out=FILE "
+        "bench_to_json [--in=FILE|-] --out=FILE "
         "[--min_speedup=op:threads:factor,...]\n"
-        "Reads bench_parallel_eval CSV, writes a JSON speedup report.\n"
-        "Exits 1 on an unmet --min_speedup, 2 on a checksum mismatch\n"
-        "(determinism regression across thread counts).\n",
+        "Reads the CSV report of a perf bench (bench_parallel_eval,\n"
+        "bench_kernel, bench_session_amortization, bench_dynamic_updates,\n"
+        "bench_snapshot, bench_serve or bench_planner; --in defaults to\n"
+        "stdin) and writes its JSON speedup report to --out. Speedups are\n"
+        "against each op's column-2 = 1 row (1 thread, 1 client or pass 1).\n"
+        "Exits 1 on bad input or an unmet --min_speedup, 2 on a checksum\n"
+        "mismatch (an op's results differ across threads or passes).\n",
         stdout);
     return 0;
   }
 
   const std::string in_path = flags.GetString("in", "-");
-  const std::string out_path = flags.GetString("out", "BENCH_parallel_eval.json");
+  const std::string out_path = flags.GetString("out", "");
+  const std::vector<std::string> gates = flags.GetList("min_speedup");
+  if (Status st = flags.ParseError(); !st.ok()) {
+    return Fail("%s", st.message());
+  }
+  if (const auto unknown = flags.Unknown(); !unknown.empty()) {
+    return Fail("unknown flag --%s", unknown.front());
+  }
+  if (out_path.empty()) return Fail("%s", "--out=FILE is required");
 
   std::ifstream file;
   if (in_path != "-") {
@@ -105,6 +125,9 @@ int Run(int argc, char** argv) {
     s->entries.push_back(std::move(e));
   }
   if (series.empty()) return Fail("no data rows in %s", in_path);
+  if (config.count("bench") == 0) {
+    return Fail("no '# bench=<name>' config line in %s", in_path);
+  }
 
   // Baselines and the determinism gate (consistency tracked per op).
   std::map<std::string, double> baseline_ms;
@@ -134,12 +157,8 @@ int Run(int argc, char** argv) {
     return e.ms > 0.0 ? baseline_ms[s.op] / e.ms : 0.0;
   };
 
-  // The bench names itself via the "# bench=..." config key; default kept
-  // for CSVs from older harness versions.
-  const std::string bench_name =
-      config.count("bench") ? config.at("bench") : "parallel_eval";
   std::ostringstream json;
-  json << "{\n  \"bench\": \"" << JsonEscape(bench_name)
+  json << "{\n  \"bench\": \"" << JsonEscape(config.at("bench"))
        << "\",\n  \"config\": {";
   bool first = true;
   for (const auto& [key, value] : config) {
@@ -174,7 +193,7 @@ int Run(int argc, char** argv) {
 
   // Throughput gates: --min_speedup=op:threads:factor[,op:threads:factor].
   int failures = 0;
-  for (const std::string& gate : flags.GetList("min_speedup")) {
+  for (const std::string& gate : gates) {
     const auto parts = Split(gate, ':');
     int64_t want_threads = 0;
     double want_factor = 0.0;

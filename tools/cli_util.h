@@ -1,8 +1,6 @@
 // Argument parsing and result emission for the unified fairhms_cli driver.
-//
-// Kept separate from bench/bench_util.h on purpose: the bench harness is a
-// paper-reproduction fixture, while the CLI is the long-lived entry point
-// that future scaling/batching work extends.
+// Flags also parses the command line of fairhms_serve, bench_to_json and
+// every bench binary (bench/bench_util.h).
 //
 // The JSON machinery that used to live here moved to common/json.h when the
 // batch protocol was lifted into the library (api/protocol.h) — tools keep
