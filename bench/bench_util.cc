@@ -24,12 +24,7 @@ bool CheckFlags(const cli::Flags& flags) {
     std::fprintf(stderr, "%s\n", st.message().c_str());
     return false;
   }
-  const std::vector<std::string> unknown = flags.Unknown();
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "unknown flag --%s\n", unknown.front().c_str());
-    return false;
-  }
-  return true;
+  return cli::CheckFlags(flags, {}, "bench");
 }
 
 bool ParsePositiveInts(const std::string& key, const std::string& value,

@@ -42,9 +42,9 @@
 namespace fairhms {
 namespace bench {
 
-/// Call once every flag has been read: prints the first malformed value,
-/// stray positional argument or unknown (misspelled) flag to stderr and
-/// returns false, so a typo never silently runs the default grid.
+/// Call once every flag has been read: prints the first malformed value or
+/// stray positional argument, or every unknown (misspelled) flag, to stderr
+/// and returns false, so a typo never silently runs the default grid.
 bool CheckFlags(const cli::Flags& flags);
 
 /// Parses `value`, the comma-separated list given to flag --`key`, into

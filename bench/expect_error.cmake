@@ -1,6 +1,6 @@
-# CTest check that a bench refuses its command line: run BENCH with ARGS
-# and require exit code 1 with EXPECT in its stderr.
-# Expects -DBENCH=<bench binary> -DARGS="<space-separated flags>"
+# CTest check that a bench or tool refuses its command line: run BENCH
+# with ARGS and require exit code 1 with EXPECT in its stderr.
+# Expects -DBENCH=<binary> -DARGS="<space-separated flags>"
 # -DEXPECT=<stderr substring>.
 
 separate_arguments(bench_args UNIX_COMMAND "${ARGS}")

@@ -478,21 +478,13 @@ void ProtocolService::ExecuteStats(StatsResponse* out) {
     ds.cache_hits = cache.TotalHits();
     ds.cache_misses = cache.TotalMisses();
     ds.cache_bytes = cache.TotalBytes();
-    const std::pair<const char*, const CacheStats::Counter*> classes[] = {
-        {"nets", &cache.nets},
-        {"evaluators", &cache.evaluators},
-        {"skylines", &cache.skylines},
-        {"group_skylines", &cache.group_skylines},
-        {"pools", &cache.pools},
-        {"groups", &cache.groups},
-        {"projections", &cache.projections},
-    };
-    for (const auto& [cls_name, counter] : classes) {
+    for (const CacheStats::Class& c : CacheStats::kClasses) {
+      const CacheStats::Counter& counter = cache.*c.counter;
       StatsResponse::DatasetStats::CacheClassStats cls;
-      cls.name = cls_name;
-      cls.hits = counter->hits;
-      cls.misses = counter->misses;
-      cls.bytes = counter->bytes;
+      cls.name = c.name;
+      cls.hits = counter.hits;
+      cls.misses = counter.misses;
+      cls.bytes = counter.bytes;
       ds.cache_classes.push_back(std::move(cls));
     }
     out->datasets.push_back(std::move(ds));

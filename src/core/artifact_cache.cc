@@ -1,6 +1,7 @@
 #include "core/artifact_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -12,13 +13,13 @@ namespace fairhms {
 
 namespace {
 
-uint64_t VectorBytes(const std::vector<int>& v) {
+uint64_t EntryBytes(const std::vector<int>& v) {
   return v.size() * sizeof(int);
 }
 
-uint64_t NestedVectorBytes(const std::vector<std::vector<int>>& v) {
+uint64_t EntryBytes(const std::vector<std::vector<int>>& v) {
   uint64_t bytes = 0;
-  for (const auto& inner : v) bytes += VectorBytes(inner);
+  for (const auto& inner : v) bytes += EntryBytes(inner);
   return bytes;
 }
 
@@ -29,39 +30,65 @@ std::string CounterLine(const char* name, const CacheStats::Counter& c) {
                    static_cast<double>(c.bytes) / 1024.0);
 }
 
-}  // namespace
-
-uint64_t CacheStats::TotalHits() const {
-  return nets.hits + evaluators.hits + skylines.hits + group_skylines.hits +
-         pools.hits + groups.hits + projections.hits;
+CacheStats::Counter SumOverClasses(const CacheStats& stats) {
+  CacheStats::Counter total;
+  for (const CacheStats::Class& c : CacheStats::kClasses) {
+    total.hits += (stats.*c.counter).hits;
+    total.misses += (stats.*c.counter).misses;
+    total.bytes += (stats.*c.counter).bytes;
+  }
+  return total;
 }
 
+/// Transient evaluator bundled with the net it points into (NetEvaluator
+/// holds a raw net pointer): the one evaluator build of the cached and the
+/// cache-less path.
+struct EvalWithNet {
+  std::shared_ptr<const UtilityNet> net;
+  NetEvaluator eval;
+  EvalWithNet(std::shared_ptr<const UtilityNet> n, const Dataset& data,
+              const std::vector<int>& db_rows, int threads)
+      : net(std::move(n)), eval(&data, net.get(), db_rows, threads) {}
+};
+
+std::shared_ptr<const NetEvaluator> BuildEvaluator(
+    const Dataset& data, std::shared_ptr<const UtilityNet> net,
+    const std::vector<int>& db_rows, const std::vector<int>& cache_rows,
+    int threads) {
+  auto holder =
+      std::make_shared<EvalWithNet>(std::move(net), data, db_rows, threads);
+  if (!cache_rows.empty()) holder->eval.CacheCandidates(cache_rows);
+  return std::shared_ptr<const NetEvaluator>(holder, &holder->eval);
+}
+
+}  // namespace
+
+const std::array<CacheStats::Class, 7> CacheStats::kClasses = {{
+    {"nets", &CacheStats::nets},
+    {"evaluators", &CacheStats::evaluators},
+    {"skylines", &CacheStats::skylines},
+    {"group_skylines", &CacheStats::group_skylines},
+    {"pools", &CacheStats::pools},
+    {"groups", &CacheStats::groups},
+    {"projections", &CacheStats::projections},
+}};
+
+uint64_t CacheStats::TotalHits() const { return SumOverClasses(*this).hits; }
+
 uint64_t CacheStats::TotalMisses() const {
-  return nets.misses + evaluators.misses + skylines.misses +
-         group_skylines.misses + pools.misses + groups.misses +
-         projections.misses;
+  return SumOverClasses(*this).misses;
 }
 
 uint64_t CacheStats::TotalBytes() const {
-  return nets.bytes + evaluators.bytes + skylines.bytes +
-         group_skylines.bytes + pools.bytes + groups.bytes +
-         projections.bytes;
+  return SumOverClasses(*this).bytes;
 }
 
 std::string CacheStats::ToString() const {
-  std::string out = CounterLine("nets", nets);
-  out += "; " + CounterLine("evaluators", evaluators);
-  out += "; " + CounterLine("skylines", skylines);
-  out += "; " + CounterLine("group_skylines", group_skylines);
-  out += "; " + CounterLine("pools", pools);
-  out += "; " + CounterLine("groups", groups);
-  out += "; " + CounterLine("projections", projections);
-  Counter total;
-  total.hits = TotalHits();
-  total.misses = TotalMisses();
-  total.bytes = TotalBytes();
-  out += "; " + CounterLine("total", total);
-  return out;
+  std::string out;
+  for (const Class& c : kClasses) {
+    out += CounterLine(c.name, this->*c.counter) + "; ";
+  }
+  return out + CounterLine("total", SumOverClasses(*this));
 }
 
 bool ArtifactCache::NetKey::operator<(const NetKey& o) const {
@@ -73,37 +100,80 @@ bool ArtifactCache::EvalKey::operator<(const EvalKey& o) const {
          std::tie(o.data, o.net, o.threads, o.db_rows, o.cache_rows);
 }
 
+bool ArtifactCache::VersionKey::operator<(const VersionKey& o) const {
+  return std::tie(data, grouping, data_version, grouping_version) <
+         std::tie(o.data, o.grouping, o.data_version, o.grouping_version);
+}
+
 void ArtifactCache::SetArbiter(CacheArbiter* arbiter) {
   MutexLock lock(&mu_);
   arbiter_ = arbiter;
 }
 
+void ArtifactCache::Account(Settle* settle,
+                            CacheStats::Counter CacheStats::*cls,
+                            int64_t delta) {
+  (stats_.*cls).bytes += static_cast<uint64_t>(delta);
+  settle->delta += delta;
+  settle->arbiter = arbiter_;
+}
+
+void ArtifactCache::SettleUnlocked(CacheArbiter* arbiter, int64_t delta) {
+  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
+}
+
+template <class V, class Build>
+const V& ArtifactCache::Lookup(VersionMap<V> Tables::*table,
+                               CacheStats::Counter CacheStats::*cls,
+                               const VersionKey& key, const Build& build) {
+  Settle settle(this);
+  MutexLock lock(&mu_);
+  const auto it = (tables_.*table).find(key);
+  if (it != (tables_.*table).end()) {
+    ++(stats_.*cls).hits;
+    return it->second;
+  }
+  ++(stats_.*cls).misses;
+  return Store(table, cls, key, build, &settle);
+}
+
+template <class V, class Build>
+V& ArtifactCache::Store(VersionMap<V> Tables::*table,
+                        CacheStats::Counter CacheStats::*cls,
+                        const VersionKey& key, const Build& build,
+                        Settle* settle) {
+  VersionMap<V>& map = tables_.*table;
+  for (auto it = map.begin(); it != map.end();) {
+    if (it->first.data == key.data && it->first.grouping == key.grouping) {
+      Account(settle, cls, -static_cast<int64_t>(EntryBytes(it->second)));
+      it = map.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  V& stored = map.emplace(key, build()).first->second;
+  Account(settle, cls, static_cast<int64_t>(EntryBytes(stored)));
+  return stored;
+}
+
 std::shared_ptr<const UtilityNet> ArtifactCache::Net(int d, size_t m,
                                                      Rng* rng) {
   NetKey key{d, static_cast<uint64_t>(m), rng->StateKey()};
-  std::shared_ptr<const UtilityNet> result;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = nets_.find(key);
-    if (it != nets_.end()) {
-      ++stats_.nets.hits;
-      *rng = it->second.post_state;  // Continue the stream past the sample.
-      return it->second.net;
-    }
-    ++stats_.nets.misses;
-    auto net = std::make_shared<const UtilityNet>(
-        UtilityNet::SampleRandom(d, m, rng));
-    delta = static_cast<int64_t>(m * static_cast<uint64_t>(d) *
-                                 sizeof(double));
-    stats_.nets.bytes += static_cast<uint64_t>(delta);
-    nets_.emplace(std::move(key), NetEntry{net, *rng});
-    result = std::move(net);
-    arbiter = arbiter_;
+  Settle settle(this);
+  MutexLock lock(&mu_);
+  auto it = tables_.nets.find(key);
+  if (it != tables_.nets.end()) {
+    ++stats_.nets.hits;
+    *rng = it->second.post_state;  // Continue the stream past the sample.
+    return it->second.net;
   }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return result;
+  ++stats_.nets.misses;
+  auto net = std::make_shared<const UtilityNet>(
+      UtilityNet::SampleRandom(d, m, rng));
+  Account(&settle, &CacheStats::nets,
+          static_cast<int64_t>(m * static_cast<uint64_t>(d) * sizeof(double)));
+  tables_.nets.emplace(std::move(key), NetEntry{net, *rng});
+  return net;
 }
 
 std::shared_ptr<const NetEvaluator> ArtifactCache::Evaluator(
@@ -111,255 +181,82 @@ std::shared_ptr<const NetEvaluator> ArtifactCache::Evaluator(
     const std::vector<int>& db_rows, const std::vector<int>& cache_rows,
     int threads) {
   EvalKey key{&data, net.get(), db_rows, cache_rows, threads};
-  std::shared_ptr<const NetEvaluator> result;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = evaluators_.find(key);
-    if (it != evaluators_.end()) {
-      ++stats_.evaluators.hits;
-      // Still valid at this version (coordinates are immutable, so a key
-      // match means identical precomputes): refresh the stamp so the entry
-      // survives the superseded-version sweep below.
-      it->second.data_version = data.version();
-      return it->second.evaluator;
-    }
-    ++stats_.evaluators.misses;
-    // Evict this dataset's entries stranded at older versions: their row
-    // sets never recur once the table mutated, so under churn they would
-    // pile up one working set per version. Never-mutated datasets never
-    // evict — a static sweep keeps its full evaluator cache (in-flight
-    // solves must not race mutations, per the class contract, so nothing
-    // holds an evicted reference).
-    for (auto sweep = evaluators_.begin(); sweep != evaluators_.end();) {
-      if (sweep->first.data == &data &&
-          sweep->second.data_version < data.version()) {
-        stats_.evaluators.bytes -= sweep->second.bytes;
-        delta -= static_cast<int64_t>(sweep->second.bytes);
-        sweep = evaluators_.erase(sweep);
-      } else {
-        ++sweep;
-      }
-    }
-    auto eval = std::make_shared<NetEvaluator>(&data, net.get(), db_rows,
-                                               threads);
-    if (!cache_rows.empty()) eval->CacheCandidates(cache_rows);
-    // ResidentBytes covers the denominators, the dimension-major net block,
-    // the packed db rows, and whatever CacheCandidates actually allocated
-    // (it declines oversized pools), so the stats never overstate memory.
-    const uint64_t entry_bytes = eval->ResidentBytes();
-    stats_.evaluators.bytes += entry_bytes;
-    delta += static_cast<int64_t>(entry_bytes);
-    std::shared_ptr<const NetEvaluator> stored = std::move(eval);
-    evaluators_.emplace(std::move(key),
-                        EvalEntry{stored, std::move(net), entry_bytes,
-                                  data.version()});
-    result = std::move(stored);
-    arbiter = arbiter_;
+  Settle settle(this);
+  MutexLock lock(&mu_);
+  auto it = tables_.evaluators.find(key);
+  if (it != tables_.evaluators.end()) {
+    ++stats_.evaluators.hits;
+    // Still valid at this version (coordinates are immutable, so a key
+    // match means identical precomputes): refresh the stamp so the entry
+    // survives the superseded-version sweep below.
+    it->second.data_version = data.version();
+    return it->second.evaluator;
   }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return result;
-}
-
-namespace {
-
-/// Byte size of a map value, for the pruning helper below.
-uint64_t EntryBytes(const std::vector<int>& v) { return VectorBytes(v); }
-uint64_t EntryBytes(const std::vector<std::vector<int>>& v) {
-  return NestedVectorBytes(v);
-}
-
-}  // namespace
-
-// Erases every entry of `map` whose key matches `same_object` — the
-// superseded versions of a mutated dataset/grouping, plus any entry the
-// caller is about to overwrite — refunding their bytes. Called under the
-// cache lock right before the store; the refunded bytes accumulate into
-// `*delta` so the caller can settle with the arbiter after unlocking.
-template <class Map, class SameObject>
-static void PruneSuperseded(Map* map, const SameObject& same_object,
-                            uint64_t* bytes, int64_t* delta) {
-  for (auto it = map->begin(); it != map->end();) {
-    if (same_object(it->first)) {
-      *bytes -= EntryBytes(it->second);
-      *delta -= static_cast<int64_t>(EntryBytes(it->second));
-      it = map->erase(it);
+  ++stats_.evaluators.misses;
+  // Evict this dataset's entries stranded at older versions: their row
+  // sets never recur once the table mutated, so under churn they would
+  // pile up one working set per version. Never-mutated datasets never
+  // evict — a static sweep keeps its full evaluator cache (in-flight
+  // solves must not race mutations, per the class contract, so nothing
+  // holds an evicted reference).
+  for (auto sweep = tables_.evaluators.begin();
+       sweep != tables_.evaluators.end();) {
+    if (sweep->first.data == &data &&
+        sweep->second.data_version < data.version()) {
+      Account(&settle, &CacheStats::evaluators,
+              -static_cast<int64_t>(sweep->second.bytes));
+      sweep = tables_.evaluators.erase(sweep);
     } else {
-      ++it;
+      ++sweep;
     }
   }
+  std::shared_ptr<const NetEvaluator> eval =
+      BuildEvaluator(data, std::move(net), db_rows, cache_rows, threads);
+  // ResidentBytes covers the denominators, the dimension-major net block,
+  // the packed db rows, and whatever CacheCandidates actually allocated
+  // (it declines oversized pools), so the stats never overstate memory.
+  const uint64_t entry_bytes = eval->ResidentBytes();
+  Account(&settle, &CacheStats::evaluators, static_cast<int64_t>(entry_bytes));
+  tables_.evaluators.emplace(std::move(key),
+                             EvalEntry{eval, entry_bytes, data.version()});
+  return eval;
 }
 
 const std::vector<int>& ArtifactCache::Skyline(const Dataset& data) {
-  const DataKey key{&data, data.version()};
-  const std::vector<int>* result = nullptr;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = skylines_.find(key);
-    if (it != skylines_.end()) {
-      ++stats_.skylines.hits;
-      return it->second;
-    }
-    ++stats_.skylines.misses;
-    PruneSuperseded(
-        &skylines_, [&](const DataKey& k) { return k.first == &data; },
-        &stats_.skylines.bytes, &delta);
-    auto [pos, inserted] = skylines_.emplace(key, ComputeSkyline(data));
-    (void)inserted;
-    stats_.skylines.bytes += VectorBytes(pos->second);
-    delta += static_cast<int64_t>(VectorBytes(pos->second));
-    result = &pos->second;
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return *result;
+  return Lookup(&Tables::skylines, &CacheStats::skylines, {data, nullptr},
+                [&] { return ComputeSkyline(data); });
 }
-
-void ArtifactCache::PutSkyline(const Dataset& data, std::vector<int> skyline) {
-  const DataKey key{&data, data.version()};
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    PruneSuperseded(
-        &skylines_, [&](const DataKey& k) { return k.first == &data; },
-        &stats_.skylines.bytes, &delta);
-    auto [pos, inserted] = skylines_.insert_or_assign(key, std::move(skyline));
-    (void)inserted;
-    stats_.skylines.bytes += VectorBytes(pos->second);
-    delta += static_cast<int64_t>(VectorBytes(pos->second));
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-}
-
-namespace {
-
-/// True when a quad key references the same (dataset, grouping) objects.
-struct SamePair {
-  const void* data;
-  const void* grouping;
-  bool operator()(const std::tuple<const void*, const void*, uint64_t,
-                                   uint64_t>& k) const {
-    return std::get<0>(k) == data && std::get<1>(k) == grouping;
-  }
-};
-
-}  // namespace
 
 const std::vector<std::vector<int>>& ArtifactCache::GroupSkylines(
     const Dataset& data, const Grouping& grouping) {
-  const DataGroupKey key{&data, &grouping, data.version(), grouping.version};
-  const std::vector<std::vector<int>>* result = nullptr;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = group_skylines_.find(key);
-    if (it != group_skylines_.end()) {
-      ++stats_.group_skylines.hits;
-      return it->second;
-    }
-    ++stats_.group_skylines.misses;
-    PruneSuperseded(&group_skylines_, SamePair{&data, &grouping},
-                    &stats_.group_skylines.bytes, &delta);
-    auto [pos, inserted] =
-        group_skylines_.emplace(key, ComputeGroupSkylines(data, grouping));
-    (void)inserted;
-    stats_.group_skylines.bytes += NestedVectorBytes(pos->second);
-    delta += static_cast<int64_t>(NestedVectorBytes(pos->second));
-    result = &pos->second;
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return *result;
+  return Lookup(&Tables::group_skylines, &CacheStats::group_skylines,
+                {data, &grouping},
+                [&] { return ComputeGroupSkylines(data, grouping); });
 }
 
 const std::vector<int>& ArtifactCache::FairPool(const Dataset& data,
                                                 const Grouping& grouping) {
-  const DataGroupKey key{&data, &grouping, data.version(), grouping.version};
-  const std::vector<int>* result = nullptr;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = pools_.find(key);
-    if (it != pools_.end()) {
-      ++stats_.pools.hits;
-      return it->second;
-    }
-    ++stats_.pools.misses;
-    PruneSuperseded(&pools_, SamePair{&data, &grouping}, &stats_.pools.bytes,
-                    &delta);
-    auto [pos, inserted] =
-        pools_.emplace(key, ComputeFairCandidatePool(data, grouping));
-    (void)inserted;
-    stats_.pools.bytes += VectorBytes(pos->second);
-    delta += static_cast<int64_t>(VectorBytes(pos->second));
-    result = &pos->second;
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return *result;
+  return Lookup(&Tables::pools, &CacheStats::pools, {data, &grouping},
+                [&] { return ComputeFairCandidatePool(data, grouping); });
 }
 
 const std::vector<int>& ArtifactCache::GroupCounts(const Dataset& data,
                                                    const Grouping& grouping) {
-  const DataGroupKey key{&data, &grouping, data.version(), grouping.version};
-  const std::vector<int>* result = nullptr;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = group_counts_.find(key);
-    if (it != group_counts_.end()) {
-      ++stats_.groups.hits;
-      return it->second;
-    }
-    ++stats_.groups.misses;
-    PruneSuperseded(&group_counts_, SamePair{&data, &grouping},
-                    &stats_.groups.bytes, &delta);
-    auto [pos, inserted] =
-        group_counts_.emplace(key, grouping.LiveCounts(data));
-    (void)inserted;
-    stats_.groups.bytes += VectorBytes(pos->second);
-    delta += static_cast<int64_t>(VectorBytes(pos->second));
-    result = &pos->second;
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return *result;
+  return Lookup(&Tables::group_counts, &CacheStats::groups, {data, &grouping},
+                [&] { return grouping.LiveCounts(data); });
 }
 
 const std::vector<std::vector<int>>& ArtifactCache::GroupMembers(
     const Dataset& data, const Grouping& grouping) {
-  const DataGroupKey key{&data, &grouping, data.version(), grouping.version};
-  const std::vector<std::vector<int>>* result = nullptr;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = group_members_.find(key);
-    if (it != group_members_.end()) {
-      ++stats_.groups.hits;
-      return it->second;
-    }
-    ++stats_.groups.misses;
-    PruneSuperseded(&group_members_, SamePair{&data, &grouping},
-                    &stats_.groups.bytes, &delta);
-    auto [pos, inserted] =
-        group_members_.emplace(key, grouping.MembersLive(data));
-    (void)inserted;
-    stats_.groups.bytes += NestedVectorBytes(pos->second);
-    delta += static_cast<int64_t>(NestedVectorBytes(pos->second));
-    result = &pos->second;
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return *result;
+  return Lookup(&Tables::group_members, &CacheStats::groups, {data, &grouping},
+                [&] { return grouping.MembersLive(data); });
+}
+
+void ArtifactCache::PutSkyline(const Dataset& data, std::vector<int> skyline) {
+  Settle settle(this);
+  MutexLock lock(&mu_);
+  Store(&Tables::skylines, &CacheStats::skylines, {data, nullptr},
+        [&] { return std::move(skyline); }, &settle);
 }
 
 void ArtifactCache::PutGroupArtifacts(
@@ -367,32 +264,17 @@ void ArtifactCache::PutGroupArtifacts(
     std::vector<std::vector<int>> group_skylines, std::vector<int> fair_pool,
     std::vector<int> live_counts,
     std::vector<std::vector<int>> live_members) {
-  const DataGroupKey key{&data, &grouping, data.version(), grouping.version};
-  const SamePair same{&data, &grouping};
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    PruneSuperseded(&group_skylines_, same, &stats_.group_skylines.bytes,
-                    &delta);
-    PruneSuperseded(&pools_, same, &stats_.pools.bytes, &delta);
-    PruneSuperseded(&group_counts_, same, &stats_.groups.bytes, &delta);
-    PruneSuperseded(&group_members_, same, &stats_.groups.bytes, &delta);
-    stats_.group_skylines.bytes += NestedVectorBytes(group_skylines);
-    delta += static_cast<int64_t>(NestedVectorBytes(group_skylines));
-    group_skylines_.insert_or_assign(key, std::move(group_skylines));
-    stats_.pools.bytes += VectorBytes(fair_pool);
-    delta += static_cast<int64_t>(VectorBytes(fair_pool));
-    pools_.insert_or_assign(key, std::move(fair_pool));
-    stats_.groups.bytes += VectorBytes(live_counts);
-    delta += static_cast<int64_t>(VectorBytes(live_counts));
-    group_counts_.insert_or_assign(key, std::move(live_counts));
-    stats_.groups.bytes += NestedVectorBytes(live_members);
-    delta += static_cast<int64_t>(NestedVectorBytes(live_members));
-    group_members_.insert_or_assign(key, std::move(live_members));
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
+  const VersionKey key = {data, &grouping};
+  Settle settle(this);
+  MutexLock lock(&mu_);
+  Store(&Tables::group_skylines, &CacheStats::group_skylines, key,
+        [&] { return std::move(group_skylines); }, &settle);
+  Store(&Tables::pools, &CacheStats::pools, key,
+        [&] { return std::move(fair_pool); }, &settle);
+  Store(&Tables::group_counts, &CacheStats::groups, key,
+        [&] { return std::move(live_counts); }, &settle);
+  Store(&Tables::group_members, &CacheStats::groups, key,
+        [&] { return std::move(live_members); }, &settle);
 }
 
 CacheStats ArtifactCache::stats() const {
@@ -401,45 +283,24 @@ CacheStats ArtifactCache::stats() const {
 }
 
 void ArtifactCache::AccountProjection(bool hit, uint64_t bytes) {
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    if (hit) {
-      ++stats_.projections.hits;
-    } else {
-      ++stats_.projections.misses;
-      stats_.projections.bytes += bytes;
-      delta = static_cast<int64_t>(bytes);
-    }
-    arbiter = arbiter_;
+  Settle settle(this);
+  MutexLock lock(&mu_);
+  if (hit) {
+    ++stats_.projections.hits;
+  } else {
+    ++stats_.projections.misses;
+    Account(&settle, &CacheStats::projections, static_cast<int64_t>(bytes));
   }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
 }
 
 void ArtifactCache::Clear() {
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    delta = -static_cast<int64_t>(stats_.TotalBytes());
-    nets_.clear();
-    evaluators_.clear();
-    skylines_.clear();
-    group_skylines_.clear();
-    pools_.clear();
-    group_counts_.clear();
-    group_members_.clear();
-    stats_.nets.bytes = 0;
-    stats_.evaluators.bytes = 0;
-    stats_.skylines.bytes = 0;
-    stats_.group_skylines.bytes = 0;
-    stats_.pools.bytes = 0;
-    stats_.groups.bytes = 0;
-    stats_.projections.bytes = 0;
-    arbiter = arbiter_;
+  Settle settle(this);
+  MutexLock lock(&mu_);
+  tables_ = Tables();
+  for (const CacheStats::Class& c : CacheStats::kClasses) {
+    Account(&settle, c.counter,
+            -static_cast<int64_t>((stats_.*c.counter).bytes));
   }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
 }
 
 void CacheArbiter::Register(ArtifactCache* cache, std::string name,
@@ -588,20 +449,6 @@ std::shared_ptr<const UtilityNet> GetOrSampleNet(ArtifactCache* cache, int d,
       UtilityNet::SampleRandom(d, m, rng));
 }
 
-namespace {
-
-/// Transient evaluator bundled with the net it points into (NetEvaluator
-/// holds a raw net pointer).
-struct EvalWithNet {
-  std::shared_ptr<const UtilityNet> net;
-  NetEvaluator eval;
-  EvalWithNet(std::shared_ptr<const UtilityNet> n, const Dataset& data,
-              const std::vector<int>& db_rows, int threads)
-      : net(std::move(n)), eval(&data, net.get(), db_rows, threads) {}
-};
-
-}  // namespace
-
 std::shared_ptr<const NetEvaluator> GetOrBuildEvaluator(
     ArtifactCache* cache, const Dataset& data,
     std::shared_ptr<const UtilityNet> net, const std::vector<int>& db_rows,
@@ -610,10 +457,7 @@ std::shared_ptr<const NetEvaluator> GetOrBuildEvaluator(
     return cache->Evaluator(data, std::move(net), db_rows, cache_rows,
                             threads);
   }
-  auto holder =
-      std::make_shared<EvalWithNet>(std::move(net), data, db_rows, threads);
-  if (!cache_rows.empty()) holder->eval.CacheCandidates(cache_rows);
-  return std::shared_ptr<const NetEvaluator>(holder, &holder->eval);
+  return BuildEvaluator(data, std::move(net), db_rows, cache_rows, threads);
 }
 
 }  // namespace fairhms

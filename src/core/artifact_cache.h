@@ -16,12 +16,19 @@
 //     candidate rows, thread lanes) and their precomputes are already
 //     bit-identical across thread counts (PR 2 contract);
 //   * skylines / pools / group tables are pure functions of the pinned
-//     dataset and grouping, which the cache identifies by (address,
-//     version) — every keyed object must outlive the cache, and a mutation
-//     (Dataset::AppendRows/ErasePoints, Grouping::AppendRow/AddGroup)
-//     makes the stale entries unreachable. Storing a fresh version prunes
-//     the superseded one, so a churning dataset does not accumulate dead
-//     artifacts. Group tables are *live* views (erased rows excluded).
+//     dataset and grouping, which the cache identifies by one version key
+//     (dataset address, grouping address or null, dataset version,
+//     grouping version) — every keyed object must outlive the cache, and a
+//     mutation (Dataset::AppendRows/ErasePoints, Grouping::AppendRow/
+//     AddGroup) makes the stale entries unreachable. Group tables are
+//     *live* views (erased rows excluded).
+//
+// The five version-keyed lookups share one memo path: count a hit, or
+// count a miss, prune the same objects' superseded entries (a churning
+// dataset accumulates no dead artifacts), build under the lock and store;
+// the Put* hooks run its store half without counting. Every byte change
+// settles with the arbiter through one scope object whose destructor runs
+// after the lock is released.
 //
 // Dynamic sessions avoid even the one recompute per version: SkylineIndex
 // maintains these artifacts incrementally and publishes them via the Put*
@@ -42,7 +49,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -70,6 +76,14 @@ struct CacheStats {
   Counter pools;           ///< Fair candidate pools.
   Counter groups;          ///< Group counts + member tables.
   Counter projections;     ///< Prepared 2D projections (session-owned).
+
+  /// One row per artifact class, in report order. The totals, ToString,
+  /// ArtifactCache::Clear and the `stats` op's per-class list iterate it.
+  struct Class {
+    const char* name;
+    Counter CacheStats::*counter;
+  };
+  static const std::array<Class, 7> kClasses;
 
   uint64_t TotalHits() const;
   uint64_t TotalMisses() const;
@@ -181,8 +195,8 @@ class ArtifactCache {
     bool operator<(const EvalKey& o) const;
   };
   struct EvalEntry {
+    /// Also owns the net, which keeps the raw key pointer live.
     std::shared_ptr<const NetEvaluator> evaluator;
-    std::shared_ptr<const UtilityNet> net;  ///< Keeps the raw key pointer live.
     uint64_t bytes = 0;  ///< Accounted size, refunded on eviction.
     /// Dataset version this entry was last built or hit under. An entry
     /// whose row sets survive a mutation keeps hitting (coordinates are
@@ -190,28 +204,81 @@ class ArtifactCache {
     /// versions are superseded and evicted on the next miss.
     uint64_t data_version = 0;
   };
-  /// (address, version): a mutation makes the old entry unreachable and
-  /// the next store for the same address prunes it.
-  using DataKey = std::pair<const void*, uint64_t>;
-  using DataGroupKey = std::tuple<const void*, const void*, uint64_t, uint64_t>;
+  /// The one key of every version-keyed class: (dataset, grouping or null
+  /// for the global skyline, dataset version, grouping version). A mutation
+  /// makes the old entry unreachable and the next store for the same
+  /// objects prunes it.
+  struct VersionKey {
+    VersionKey(const Dataset& d, const Grouping* g)
+        : data(&d),
+          grouping(g),
+          data_version(d.version()),
+          grouping_version(g != nullptr ? g->version : 0) {}
 
-  // Never held while calling into the arbiter: methods copy arbiter_ under
-  // mu_, release, then settle the byte delta (lock order cache -> arbiter,
-  // see docs/concurrency.md).
+    const void* data;
+    const void* grouping;
+    uint64_t data_version;
+    uint64_t grouping_version;
+    bool operator<(const VersionKey& o) const;
+  };
+  template <class V>
+  using VersionMap = std::map<VersionKey, V>;
+  /// Every memo table; Clear resets them together.
+  struct Tables {
+    std::map<NetKey, NetEntry> nets;
+    std::map<EvalKey, EvalEntry> evaluators;
+    VersionMap<std::vector<int>> skylines;
+    VersionMap<std::vector<std::vector<int>>> group_skylines;
+    VersionMap<std::vector<int>> pools;
+    VersionMap<std::vector<int>> group_counts;
+    VersionMap<std::vector<std::vector<int>>> group_members;
+  };
+
+  /// A resident-byte change to settle with the arbiter. Declare it before
+  /// the MutexLock: locals are destroyed in reverse order, so the
+  /// destructor's arbiter call always runs after mu_ is released and the
+  /// lock order cache -> arbiter holds by construction.
+  struct Settle {
+    explicit Settle(ArtifactCache* c) : cache(c) {}
+    Settle(const Settle&) = delete;
+    Settle& operator=(const Settle&) = delete;
+    ~Settle() { cache->SettleUnlocked(arbiter, delta); }
+
+    ArtifactCache* cache;
+    CacheArbiter* arbiter = nullptr;  ///< Copied from arbiter_ under mu_.
+    int64_t delta = 0;
+  };
+
+  /// The memo path of the version-keyed classes: counts a hit and returns
+  /// the entry, or counts a miss and runs Store.
+  template <class V, class Build>
+  const V& Lookup(VersionMap<V> Tables::*table,
+                  CacheStats::Counter CacheStats::*cls, const VersionKey& key,
+                  const Build& build) FAIRHMS_EXCLUDES(mu_);
+
+  /// The store half: prunes every entry of key's objects (superseded
+  /// versions, or the entry a publish replaces), stores build() and
+  /// accounts the bytes. Counts neither a hit nor a miss.
+  template <class V, class Build>
+  V& Store(VersionMap<V> Tables::*table, CacheStats::Counter CacheStats::*cls,
+           const VersionKey& key, const Build& build, Settle* settle)
+      FAIRHMS_REQUIRES(mu_);
+
+  /// Adds `delta` resident bytes (negative = refund) to class `cls` and to
+  /// the pending settlement.
+  void Account(Settle* settle, CacheStats::Counter CacheStats::*cls,
+               int64_t delta) FAIRHMS_REQUIRES(mu_);
+
+  void SettleUnlocked(CacheArbiter* arbiter, int64_t delta)
+      FAIRHMS_EXCLUDES(mu_);
+
+  // Never held while calling into the arbiter (see Settle; lock order
+  // cache -> arbiter, docs/concurrency.md).
   mutable Mutex mu_;
   CacheStats stats_ FAIRHMS_GUARDED_BY(mu_);
   /// The pointer is guarded; the arbiter itself is called outside mu_.
   CacheArbiter* arbiter_ FAIRHMS_GUARDED_BY(mu_) = nullptr;
-  std::map<NetKey, NetEntry> nets_ FAIRHMS_GUARDED_BY(mu_);
-  std::map<EvalKey, EvalEntry> evaluators_ FAIRHMS_GUARDED_BY(mu_);
-  std::map<DataKey, std::vector<int>> skylines_ FAIRHMS_GUARDED_BY(mu_);
-  std::map<DataGroupKey, std::vector<std::vector<int>>> group_skylines_
-      FAIRHMS_GUARDED_BY(mu_);
-  std::map<DataGroupKey, std::vector<int>> pools_ FAIRHMS_GUARDED_BY(mu_);
-  std::map<DataGroupKey, std::vector<int>> group_counts_
-      FAIRHMS_GUARDED_BY(mu_);
-  std::map<DataGroupKey, std::vector<std::vector<int>>> group_members_
-      FAIRHMS_GUARDED_BY(mu_);
+  Tables tables_ FAIRHMS_GUARDED_BY(mu_);
 };
 
 /// Process-wide cache budget arbitration across many ArtifactCaches (one

@@ -75,9 +75,7 @@ int Run(int argc, char** argv) {
   if (Status st = flags.ParseError(); !st.ok()) {
     return Fail("%s", st.message());
   }
-  if (const auto unknown = flags.Unknown(); !unknown.empty()) {
-    return Fail("unknown flag --%s", unknown.front());
-  }
+  if (!cli::CheckFlags(flags, {}, "bench_to_json")) return 1;
   if (out_path.empty()) return Fail("%s", "--out=FILE is required");
 
   std::ifstream file;

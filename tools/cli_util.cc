@@ -173,6 +173,26 @@ StatusOr<std::string> Report::Render(const std::string& format) const {
                 format.c_str()));
 }
 
+bool CheckFlags(const Flags& flags, const std::set<std::string>& documented,
+                const char* prog) {
+  bool ok = true;
+  for (const auto& key : flags.Unknown()) {
+    if (documented.count(key) != 0) continue;
+    std::fprintf(stderr, "%s: unknown flag --%s\n", prog, key.c_str());
+    ok = false;
+  }
+  return ok;
+}
+
+void WarnUnusedFlags(const Flags& flags, const char* prog) {
+  for (const auto& key : flags.Unknown()) {
+    std::fprintf(stderr,
+                 "%s: warning: --%s has no effect with the chosen options; "
+                 "ignored\n",
+                 prog, key.c_str());
+  }
+}
+
 std::string CsvEscape(const std::string& s) {
   if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
   std::string out = "\"";
@@ -258,6 +278,35 @@ StatusOr<uint64_t> ResolveCacheBudgetBytes(const Flags& flags,
     return Status::InvalidArgument("--global_cache_budget_mb must be >= 0");
   }
   return static_cast<uint64_t>(mb) * 1024 * 1024;
+}
+
+void PrintCacheReport(DatasetCatalog* catalog, const char* prog,
+                      const std::string& summary) {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t bytes = 0;
+  std::string detail;
+  for (const std::string& name : catalog->List()) {
+    auto s = catalog->Session(name);
+    if (!s.ok()) continue;
+    const CacheStats stats = (*s)->cache_stats();
+    hits += stats.TotalHits();
+    misses += stats.TotalMisses();
+    bytes += stats.TotalBytes();
+    detail += StrFormat("%s: cache detail [%s]: %s\n", prog, name.c_str(),
+                        stats.ToString().c_str());
+  }
+  std::fprintf(stderr,
+               "%s: %s; cache: %llu hits, %llu misses, %.1f KiB resident, "
+               "%llu budget evictions\n",
+               prog, summary.c_str(), static_cast<unsigned long long>(hits),
+               static_cast<unsigned long long>(misses),
+               static_cast<double>(bytes) / 1024.0,
+               static_cast<unsigned long long>(
+                   catalog->arbiter()->evictions()));
+  std::fputs(detail.c_str(), stderr);
+  std::fprintf(stderr, "%s: %s\n", prog,
+               catalog->arbiter()->ToString().c_str());
 }
 
 Status ApplySimdFlags(const Flags& flags) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "api/catalog.h"
 #include "common/random.h"
 #include "common/statusor.h"
 #include "data/dataset.h"
@@ -77,6 +78,20 @@ class Report {
   std::vector<Entry> entries_;
 };
 
+/// The typo guard of every tool: each flag given on the command line, never
+/// looked up and not in `documented` is reported on stderr as "<prog>:
+/// unknown flag --x", and false is returned. fairhms_cli and fairhms_serve
+/// pass every flag they accept and call it before any work, so a typo stops
+/// the run up front; bench binaries pass none and call it once they have
+/// read their flags, so any flag they did not read is an error.
+bool CheckFlags(const Flags& flags, const std::set<std::string>& documented,
+                const char* prog);
+
+/// Warns "<prog>: warning: --x has no effect with the chosen options;
+/// ignored" for every flag never looked up. Call it once the taken code
+/// path has read all its flags, after CheckFlags rejected the typos.
+void WarnUnusedFlags(const Flags& flags, const char* prog);
+
 /// Escapes a CSV cell (quotes when it contains delimiter/quote/newline).
 std::string CsvEscape(const std::string& s);
 
@@ -104,6 +119,16 @@ StatusOr<Grouping> MakeGroupingFromFlags(const Flags& flags,
 /// a contradiction, not a preference order.
 StatusOr<uint64_t> ResolveCacheBudgetBytes(const Flags& flags,
                                            const char* prog);
+
+/// The end-of-run cache report of `fairhms_cli --queries` and the
+/// fairhms_serve drain, on stderr: "<prog>: <summary>; cache: H hits, M
+/// misses, X KiB resident, E budget evictions" totalled over every catalog
+/// session, then one "cache detail [name]" line per session and the
+/// arbiter's global ledger, so the per-session and global byte figures can
+/// be checked against each other. `summary` carries the caller's own
+/// counters.
+void PrintCacheReport(DatasetCatalog* catalog, const char* prog,
+                      const std::string& summary);
 
 /// Applies the SIMD dispatch controls, shared by fairhms_cli and
 /// fairhms_serve: refuses an unknown FAIRHMS_SIMD value up front (the

@@ -244,7 +244,7 @@ StatusOr<GroupBounds> MakeBounds(const cli::Flags& flags, int k,
 /// Forwards every flag matching the chosen algorithm's parameter schema
 /// into the request's AlgoParams — each entry --list_algos prints is a
 /// working --flag. Flags naming a parameter of a *different* algorithm are
-/// never looked up here; the end-of-run unknown-flag sweep warns about
+/// never looked up here; the end-of-run unused-flag sweep warns about
 /// them ("no effect with the chosen options") like any other unused knob.
 Status FillParamsFromFlags(const cli::Flags& flags, const AlgorithmInfo& info,
                            AlgoParams* params) {
@@ -279,41 +279,21 @@ Status FillParamsFromFlags(const cli::Flags& flags, const AlgorithmInfo& info,
   return Status::OK();
 }
 
-/// Every parameter name registered by any algorithm: a flag in this set
-/// that went unused is "documented but without effect here", not a typo.
-std::set<std::string> AllRegisteredParamNames() {
-  std::set<std::string> names;
+/// Every flag the driver accepts: its own flags plus every parameter name
+/// registered by any algorithm. Anything else is a typo and stops the run;
+/// a listed flag the chosen options do not read only warns.
+std::set<std::string> DocumentedFlags() {
+  std::set<std::string> documented = {
+      "csv", "numeric", "categorical", "synthetic", "n", "dim", "seed",
+      "normalize", "groups", "group_by", "k", "bounds", "alpha", "lower",
+      "upper", "algo", "format", "latency_budget_ms", "quality_target",
+      "threads", "simd", "list_algos", "queries", "cache_budget_mb",
+      "global_cache_budget_mb", "snapshot_save", "snapshot_load",
+      "snapshot_info", "help"};
   for (const AlgorithmInfo* info : AlgorithmRegistry::Instance().All()) {
-    for (const ParamSpec& p : info->params) names.insert(p.name);
+    for (const ParamSpec& p : info->params) documented.insert(p.name);
   }
-  return names;
-}
-
-/// Warns on flags never looked up on the taken code path: a documented
-/// flag (the driver flags plus any algorithm parameter in the registry) is
-/// merely unused with the chosen options, anything else is a likely typo.
-/// Both serving modes run this so a typo never silently changes a run.
-void WarnUnusedFlags(const cli::Flags& flags) {
-  std::set<std::string> documented = AllRegisteredParamNames();
-  documented.insert({"csv", "numeric", "categorical", "synthetic", "n",
-                     "dim", "seed", "normalize", "groups", "group_by", "k",
-                     "bounds", "alpha", "lower", "upper", "algo", "format",
-                     "latency_budget_ms", "quality_target",
-                     "threads", "simd", "list_algos", "queries",
-                     "cache_budget_mb",
-                     "global_cache_budget_mb", "snapshot_save",
-                     "snapshot_load", "snapshot_info", "help"});
-  for (const auto& key : flags.Unknown()) {
-    if (documented.count(key)) {
-      std::fprintf(stderr,
-                   "fairhms_cli: warning: --%s has no effect with the "
-                   "chosen options; ignored\n",
-                   key.c_str());
-    } else {
-      std::fprintf(stderr, "fairhms_cli: warning: unknown flag --%s ignored\n",
-                   key.c_str());
-    }
-  }
+  return documented;
 }
 
 /// --snapshot_info: print a snapshot file's summary and exit.
@@ -407,10 +387,8 @@ int RunBatch(const cli::Flags& flags, uint64_t seed, int threads) {
   }
   std::istream& in = path == "-" ? std::cin : file;
   if (Status st = flags.ParseError(); !st.ok()) return Fail(st);
-  // Every driver flag has been looked up by now; surface typos before the
-  // batch streams (a misspelled --groups must not silently serve the whole
-  // sweep against the default grouping).
-  WarnUnusedFlags(flags);
+  // Every driver flag has been looked up by now.
+  cli::WarnUnusedFlags(flags, "fairhms_cli");
 
   // The batch driver is one of two thin transports over the shared
   // ProtocolService (the fairhms_serve daemon is the other): parsing,
@@ -442,39 +420,10 @@ int RunBatch(const cli::Flags& flags, uint64_t seed, int threads) {
     }
   }
 
-  // Stderr report: aggregate totals, then per-session detail, then the
-  // arbiter's global line — per-session bytes and the global charged
-  // total are printed side by side so they can be checked against each
-  // other.
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t bytes = 0;
-  for (const std::string& name : catalog.List()) {
-    auto s = catalog.Session(name);
-    if (!s.ok()) continue;
-    const CacheStats stats = (*s)->cache_stats();
-    hits += stats.TotalHits();
-    misses += stats.TotalMisses();
-    bytes += stats.TotalBytes();
-  }
-  std::fprintf(stderr,
-               "fairhms_cli: served %zu lines (%zu updates, %zu failed) in "
-               "%.1f ms; cache: %llu hits, %llu misses, %.1f KiB resident, "
-               "%llu budget evictions\n",
-               served, updates, failed, total.ElapsedMillis(),
-               static_cast<unsigned long long>(hits),
-               static_cast<unsigned long long>(misses),
-               static_cast<double>(bytes) / 1024.0,
-               static_cast<unsigned long long>(
-                   catalog.arbiter()->evictions()));
-  for (const std::string& name : catalog.List()) {
-    auto s = catalog.Session(name);
-    if (!s.ok()) continue;
-    std::fprintf(stderr, "fairhms_cli: cache detail [%s]: %s\n", name.c_str(),
-                 (*s)->cache_stats().ToString().c_str());
-  }
-  std::fprintf(stderr, "fairhms_cli: %s\n",
-               catalog.arbiter()->ToString().c_str());
+  cli::PrintCacheReport(
+      &catalog, "fairhms_cli",
+      StrFormat("served %zu lines (%zu updates, %zu failed) in %.1f ms",
+                served, updates, failed, total.ElapsedMillis()));
   return failed == 0 ? 0 : 3;
 }
 
@@ -484,6 +433,9 @@ int Run(int argc, char** argv) {
     std::fputs(kUsage, stdout);
     return argc <= 1 ? 1 : 0;
   }
+  // Typos stop the run before any dataset load or solve: a misspelled
+  // --groups must not silently solve against the default grouping.
+  if (!cli::CheckFlags(flags, DocumentedFlags(), "fairhms_cli")) return 1;
   if (flags.Has("list_algos")) return ListAlgos();
   if (flags.Has("snapshot_info")) {
     return RunSnapshotInfo(flags.GetString("snapshot_info", ""));
@@ -638,7 +590,7 @@ int Run(int argc, char** argv) {
 
   auto rendered = report.Render(format);
   if (!rendered.ok()) return Fail(rendered.status());
-  WarnUnusedFlags(flags);
+  cli::WarnUnusedFlags(flags, "fairhms_cli");
   std::fputs(rendered->c_str(), stdout);
   return 0;
 }

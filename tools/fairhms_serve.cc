@@ -103,9 +103,8 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Warns on flags never looked up on the taken code path (typo guard,
-/// mirroring fairhms_cli); every documented serve flag is listed.
-void WarnUnusedFlags(const cli::Flags& flags) {
+/// Every flag fairhms_serve accepts (typo guard, mirroring fairhms_cli).
+const std::set<std::string>& DocumentedFlags() {
   static const std::set<std::string> documented = {
       "unix", "port", "host", "csv", "numeric", "categorical", "synthetic",
       "n", "dim", "snapshot_load", "normalize", "groups", "group_by", "seed",
@@ -113,18 +112,7 @@ void WarnUnusedFlags(const cli::Flags& flags) {
       "workers",
       "max_queue", "rate_limit", "rate_burst", "queue_deadline_ms",
       "max_line_bytes", "protocol", "reload_dir", "client", "help"};
-  for (const auto& key : flags.Unknown()) {
-    if (documented.count(key)) {
-      std::fprintf(stderr,
-                   "fairhms_serve: warning: --%s has no effect with the "
-                   "chosen options; ignored\n",
-                   key.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "fairhms_serve: warning: unknown flag --%s ignored\n",
-                   key.c_str());
-    }
-  }
+  return documented;
 }
 
 // ---------------------------------------------------------------------------
@@ -373,7 +361,7 @@ int RunDaemon(const cli::Flags& flags) {
 
   const std::string reload_dir = flags.GetString("reload_dir", "");
   if (Status st = flags.ParseError(); !st.ok()) return Fail(st);
-  WarnUnusedFlags(flags);
+  cli::WarnUnusedFlags(flags, "fairhms_serve");
 
   // Block the lifecycle signals in every thread the server is about to
   // spawn (they inherit this mask); the main thread collects them via
@@ -427,43 +415,19 @@ int RunDaemon(const cli::Flags& flags) {
 
   server.Drain();
 
-  // Final report, mirroring the batch CLI's: totals, per-session cache
-  // detail, the arbiter's global ledger, plus the server's own counters.
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t bytes = 0;
-  for (const std::string& name : catalog.List()) {
-    auto s = catalog.Session(name);
-    if (!s.ok()) continue;
-    const CacheStats stats = (*s)->cache_stats();
-    hits += stats.TotalHits();
-    misses += stats.TotalMisses();
-    bytes += stats.TotalBytes();
-  }
-  std::fprintf(stderr,
-               "fairhms_serve: served %llu lines (%llu updates, %llu "
-               "failed); connections %llu, rejected %llu, cancelled %llu; "
-               "cache: %llu hits, %llu misses, %.1f KiB resident, %llu "
-               "budget evictions\n",
-               static_cast<unsigned long long>(service.served()),
-               static_cast<unsigned long long>(service.updates()),
-               static_cast<unsigned long long>(service.failed()),
-               static_cast<unsigned long long>(server.connections_accepted()),
-               static_cast<unsigned long long>(server.rejected()),
-               static_cast<unsigned long long>(server.cancelled()),
-               static_cast<unsigned long long>(hits),
-               static_cast<unsigned long long>(misses),
-               static_cast<double>(bytes) / 1024.0,
-               static_cast<unsigned long long>(
-                   catalog.arbiter()->evictions()));
-  for (const std::string& name : catalog.List()) {
-    auto s = catalog.Session(name);
-    if (!s.ok()) continue;
-    std::fprintf(stderr, "fairhms_serve: cache detail [%s]: %s\n",
-                 name.c_str(), (*s)->cache_stats().ToString().c_str());
-  }
-  std::fprintf(stderr, "fairhms_serve: %s\n",
-               catalog.arbiter()->ToString().c_str());
+  // Final report, shared with the batch CLI, plus the server's own
+  // counters on its summary line.
+  cli::PrintCacheReport(
+      &catalog, "fairhms_serve",
+      StrFormat("served %llu lines (%llu updates, %llu failed); "
+                "connections %llu, rejected %llu, cancelled %llu",
+                static_cast<unsigned long long>(service.served()),
+                static_cast<unsigned long long>(service.updates()),
+                static_cast<unsigned long long>(service.failed()),
+                static_cast<unsigned long long>(
+                    server.connections_accepted()),
+                static_cast<unsigned long long>(server.rejected()),
+                static_cast<unsigned long long>(server.cancelled())));
   return 0;
 }
 
@@ -473,6 +437,8 @@ int Run(int argc, char** argv) {
     std::fputs(kUsage, stdout);
     return argc <= 1 ? 1 : 0;
   }
+  // Typos stop before any dataset load, listener start or connect.
+  if (!cli::CheckFlags(flags, DocumentedFlags(), "fairhms_serve")) return 1;
   if (flags.Has("client")) return RunClient(flags);
   if (!flags.Has("unix") && !flags.Has("port")) {
     return Fail(Status::InvalidArgument(
