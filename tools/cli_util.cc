@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "api/catalog.h"
 #include "common/json.h"
 #include "common/simd.h"
 #include "common/string_util.h"

@@ -15,13 +15,15 @@
 #include <string>
 #include <vector>
 
-#include "api/catalog.h"
 #include "common/random.h"
 #include "common/statusor.h"
 #include "data/dataset.h"
 #include "data/grouping.h"
 
 namespace fairhms {
+
+class DatasetCatalog;
+
 namespace cli {
 
 /// Command-line flags: --key=value and boolean --key. Every lookup records
