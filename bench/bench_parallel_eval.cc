@@ -1,8 +1,9 @@
 // bench_parallel_eval: speedup harness for the parallel happiness-evaluation
 // engine. Times the NetEvaluator denominator precompute, the candidate-cache
-// matrix fill, the Mhr net sweep and (optionally) the witness-LP sweep at a
-// grid of thread counts, and prints the perf-CSV report of
-// bench/bench_util.h for tools/bench_to_json.
+// matrix fill, the Mhr net sweep, one cold BiGreedy tau search on a cached
+// evaluator and (optionally) the witness-LP sweep at a grid of thread
+// counts, and prints the perf-CSV report of bench/bench_util.h for
+// tools/bench_to_json.
 //
 // Each op's checksum is a serial digest of the produced values; it must be
 // byte-identical across thread counts (bench_to_json enforces this), which
@@ -16,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "algo/algo_util.h"
+#include "algo/bigreedy.h"
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "common/simd.h"
@@ -23,6 +26,8 @@
 #include "core/exact_evaluator.h"
 #include "core/net_evaluator.h"
 #include "data/generators.h"
+#include "data/grouping.h"
+#include "fairness/group_bounds.h"
 #include "skyline/skyline.h"
 #include "utility/utility_net.h"
 
@@ -68,6 +73,26 @@ int Run(int argc, char** argv) {
         skyline[static_cast<size_t>(i) * skyline.size() / static_cast<size_t>(k)]);
   }
 
+  // Tau-search workload: the shape of a cold BiGreedy query. An
+  // independent set with sum-rank groups (independent data has a far
+  // smaller skyline than anti-correlated data, so the fair pool stays
+  // within the candidate-cache budget), proportional bounds, the fair
+  // pool as candidates and the default net size m = 10 * k * d.
+  Rng tau_rng(seed + 2);
+  const Dataset tau_data = GenIndependent(n, dim, &tau_rng).NormalizedMinMax();
+  const Grouping tau_groups = GroupBySumRank(tau_data, 4);
+  const StatusOr<ProblemInput> tau_input = PrepareProblem(
+      tau_data, tau_groups,
+      GroupBounds::Proportional(k, tau_groups.Counts(), 0.1));
+  if (!tau_input.ok()) {
+    std::fprintf(stderr, "tau_search: %s\n",
+                 tau_input.status().ToString().c_str());
+    return 1;
+  }
+  Rng tau_net_rng(seed + 3);
+  const UtilityNet tau_net = UtilityNet::SampleRandom(
+      dim, static_cast<size_t>(10 * k * dim), &tau_net_rng);
+
   bench::PrintReportHead(
       "parallel_eval",
       {{"n", std::to_string(n)},
@@ -78,6 +103,8 @@ int Run(int argc, char** argv) {
        {"reps", std::to_string(reps)},
        {"sweep_iters", std::to_string(sweep_iters)},
        {"seed", std::to_string(seed)},
+       {"tau_pool", std::to_string(tau_input->pool.size())},
+       {"tau_net", std::to_string(tau_net.size())},
        {"simd", simd::DispatchLevelName(simd::ActiveLevel())}});
 
   for (int threads : thread_grid) {
@@ -126,6 +153,35 @@ int Run(int argc, char** argv) {
       }
       bench::PrintResult("mhr_sweep", threads, timer.best_ms(),
                          StrFormat("%.17g", mhr));
+    }
+
+    // tau_search: BiGreedyOnNet's cold binary tau search, about ten lazy
+    // matroid greedies, on an evaluator whose candidate cache is built
+    // outside the timed region. The checksum holds the selected rows and
+    // the certified tau index.
+    {
+      NetEvaluator tau_eval(&tau_data, &tau_net, tau_input->db_rows, threads);
+      tau_eval.CacheCandidates(tau_input->pool);
+      BiGreedyOptions opts;
+      opts.threads = threads;
+      bench::BestOfReps timer;
+      std::string checksum;
+      for (int r = 0; r < reps; ++r) {
+        BiGreedyRunInfo run;
+        timer.Start();
+        StatusOr<Solution> sol =
+            BiGreedyOnNet(*tau_input, &tau_eval, opts, &run);
+        timer.Stop();
+        if (!sol.ok()) {
+          std::fprintf(stderr, "tau_search: %s\n",
+                       sol.status().ToString().c_str());
+          return 1;
+        }
+        std::vector<double> digest(sol->rows.begin(), sol->rows.end());
+        digest.push_back(run.tau_index);
+        checksum = bench::Digest(digest);
+      }
+      bench::PrintResult("tau_search", threads, timer.best_ms(), checksum);
     }
 
     // witness_lps: one exact LP per skyline witness (F-Greedy's inner loop).

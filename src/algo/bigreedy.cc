@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "core/artifact_cache.h"
 #include "fairness/matroid.h"
 #include "geom/vec.h"
@@ -30,6 +31,29 @@ struct LazyEntry {
   }
 };
 
+/// Lazy-greedy refresh batches: at most this many heap entries per lane.
+constexpr size_t kBatchRowsPerLane = 256;
+/// Batches of fewer happiness cells (rows x net directions) than this run
+/// inline on the calling thread: waking the pool costs more than they do.
+constexpr size_t kInlineBatchCells = size_t{1} << 16;
+
+/// Sets every entry's key to its exact mhr_tau gain against `state`, using
+/// up to `lanes` lanes; each lane writes only its own entries.
+void RefreshGains(const TruncatedMhrState& state, double tau, int lanes,
+                  size_t net_size, std::vector<LazyEntry>* entries) {
+  auto refresh = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      LazyEntry& e = (*entries)[i];
+      e.gain = state.MarginalGain(e.row, tau);
+    }
+  };
+  if (lanes <= 1 || entries->size() * net_size < kInlineBatchCells) {
+    refresh(0, entries->size());
+  } else {
+    ParallelFor(lanes, entries->size(), refresh);
+  }
+}
+
 /// One matroid-greedy round on mhr_tau from the empty set: repeatedly adds
 /// the feasible row of largest gain (smallest row on ties) that is not in
 /// `used` until the selection is maximal, marking every added row in
@@ -42,6 +66,13 @@ struct LazyEntry {
 /// rows are seeded without a gain pass: from the empty set a row's gain is
 /// the canonical sum of min(h_j, tau), bounded by its FullGain (h_j) and by
 /// the same-order sum of m copies of tau; at tau >= 1 the seed is exact.
+///
+/// With more than one lane, a stale top is refreshed in a batch with the
+/// stale, feasible entries below it, across the evaluator's lanes. Which
+/// stale keys get refreshed never changes the argmax, because every key
+/// stays an upper bound. The batch starts at one entry per pick and doubles
+/// while the top stays stale, up to kBatchRowsPerLane per lane. One lane
+/// keeps the plain serial loop.
 std::vector<int> GreedyRound(const ProblemInput& input,
                              const NetEvaluator* eval,
                              const FairnessMatroid& matroid, double tau,
@@ -49,10 +80,6 @@ std::vector<int> GreedyRound(const ProblemInput& input,
                              int64_t* gain_evals) {
   TruncatedMhrState state(eval);
   FairSelection sel(&matroid, input.grouping);
-  auto gain = [&](int row) {
-    ++*gain_evals;
-    return state.MarginalGain(row, tau);
-  };
   auto add = [&](int row) {
     sel.Add(row);
     state.Add(row);
@@ -66,7 +93,8 @@ std::vector<int> GreedyRound(const ProblemInput& input,
       double best_gain = -1.0;
       for (int row : input.pool) {
         if ((*used)[static_cast<size_t>(row)] || !sel.CanAdd(row)) continue;
-        const double g = gain(row);
+        ++*gain_evals;
+        const double g = state.MarginalGain(row, tau);
         if (g > best_gain || (g == best_gain && row < best_row)) {
           best_gain = g;
           best_row = row;
@@ -78,10 +106,15 @@ std::vector<int> GreedyRound(const ProblemInput& input,
     return sel.rows();
   }
 
-  const double m = static_cast<double>(eval->net_size());
-  const double cap = simd::RepeatSum(tau, eval->net_size());
+  const int lanes = eval->threads();
+  const size_t net_size = eval->net_size();
+  const double m = static_cast<double>(net_size);
+  const double cap = simd::RepeatSum(tau, net_size);
   const int seed_stamp = tau >= 1.0 ? 0 : -1;
+  // Heap order is a strict total order on (gain, row), so the pop sequence
+  // does not depend on the order seeds are listed in.
   std::vector<LazyEntry> seeds;
+  std::vector<LazyEntry> batch;
   seeds.reserve(input.pool.size());
   for (int row : input.pool) {
     if ((*used)[static_cast<size_t>(row)]) continue;
@@ -89,22 +122,65 @@ std::vector<int> GreedyRound(const ProblemInput& input,
       seeds.push_back(
           {std::min(eval->FullGain(row), cap) / m, row, seed_stamp});
     } else {
-      seeds.push_back({gain(row), row, 0});
+      batch.push_back({0.0, row, 0});  // Exact seed, computed below.
     }
   }
+  RefreshGains(state, tau, lanes, net_size, &batch);
+  *gain_evals += static_cast<int64_t>(batch.size());
+  seeds.insert(seeds.end(), batch.begin(), batch.end());
   std::priority_queue<LazyEntry> pq(std::less<LazyEntry>(), std::move(seeds));
 
-  while (!pq.empty() && !sel.IsMaximal()) {
-    LazyEntry top = pq.top();
-    pq.pop();
-    if (!sel.CanAdd(top.row)) continue;  // Permanently infeasible now.
-    if (top.stamp == sel.size()) {
-      add(top.row);
-    } else {
-      top.gain = gain(top.row);
-      top.stamp = sel.size();
-      pq.push(top);
+  if (lanes <= 1) {
+    // The serial lazy greedy: pop, drop if infeasible, take if exact,
+    // otherwise refresh and push back.
+    while (!pq.empty() && !sel.IsMaximal()) {
+      LazyEntry top = pq.top();
+      pq.pop();
+      if (!sel.CanAdd(top.row)) continue;  // Permanently infeasible now.
+      if (top.stamp == sel.size()) {
+        add(top.row);
+      } else {
+        ++*gain_evals;
+        top.gain = state.MarginalGain(top.row, tau);
+        top.stamp = sel.size();
+        pq.push(top);
+      }
     }
+    return sel.rows();
+  }
+
+  const size_t max_batch = kBatchRowsPerLane * static_cast<size_t>(lanes);
+  size_t batch_limit = 1;
+  while (!pq.empty() && !sel.IsMaximal()) {
+    const LazyEntry top = pq.top();
+    if (!sel.CanAdd(top.row)) {
+      pq.pop();
+      continue;
+    }
+    if (top.stamp == sel.size()) {
+      pq.pop();
+      add(top.row);
+      batch_limit = 1;
+      continue;
+    }
+    // The top is stale: refresh it together with the stale, feasible
+    // entries below it, down to the first exact one (which bounds
+    // everything under it).
+    batch.assign(1, top);
+    pq.pop();
+    while (!pq.empty() && batch.size() < batch_limit) {
+      const LazyEntry& next = pq.top();
+      if (next.stamp == sel.size()) break;
+      if (sel.CanAdd(next.row)) batch.push_back(next);
+      pq.pop();
+    }
+    RefreshGains(state, tau, lanes, net_size, &batch);
+    *gain_evals += static_cast<int64_t>(batch.size());
+    for (LazyEntry& e : batch) {
+      e.stamp = sel.size();
+      pq.push(e);
+    }
+    batch_limit = std::min(2 * batch_limit, max_batch);
   }
   return sel.rows();
 }

@@ -63,8 +63,11 @@ struct BiGreedyOptions {
   bool lazy = true;
   uint64_t seed = 13;
   /// Evaluation-engine lanes for the net denominator precompute, candidate
-  /// cache fill and mhr sweeps (0 = DefaultThreads(), 1 = exact serial
-  /// path). Selected rows and mhr are bit-identical across thread counts.
+  /// cache fill and mhr sweeps, and for the lazy greedy's batches of stale
+  /// gain refreshes (0 = DefaultThreads(), 1 = exact serial path: one
+  /// refresh at a time). The greedy takes its lane count from the
+  /// evaluator it runs on. Selected rows and mhr are bit-identical across
+  /// thread counts.
   int threads = 0;
   /// Candidate pool / denominator overrides (default: fair pool / skyline).
   std::vector<int> pool;
@@ -100,7 +103,9 @@ struct BiGreedyRunInfo {
   int mrgreedy_calls = 0; ///< Outer-loop decision calls.
   int tau_index = -1;     ///< Certified grid index (-1 = greedy fallback).
   bool warm_start_used = false;  ///< Warm hint accepted; cold search skipped.
-  int64_t gain_evals = 0;  ///< Exact marginal-gain evaluations, all calls.
+  /// Exact marginal-gain evaluations, all calls. Depends on the lane
+  /// count: a refresh batch may evaluate a few entries past the argmax.
+  int64_t gain_evals = 0;
 };
 
 /// Runs BiGreedy end to end (builds the net internally).

@@ -275,6 +275,120 @@ TEST(BiGreedyTest, BoundSeededLazyGreedyEvaluatesFewGains) {
       << " calls, pool " << input->pool.size();
 }
 
+TEST(BiGreedyTest, GainBatchesSelectSameRowsAtEveryLaneCount) {
+  // The lazy greedy refreshes stale gains in batches across the
+  // evaluator's lanes. Which stale upper bounds it refreshes never changes
+  // the argmax, so every lane count must select the one-lane rows and
+  // certify the same tau index; the extra gains a batch evaluates past the
+  // argmax stay within 10% of the one-lane count.
+  Rng rng(31);
+  const Dataset data = GenIndependent(3000, 6, &rng);
+  const Grouping g = GroupBySumRank(data, 4);
+  const GroupBounds proportional =
+      GroupBounds::Proportional(10, g.Counts(), 0.2);
+  // Group 3 holds the rows of largest attribute sum, so capping it at one
+  // row drops its pool entries from the heap mid-batch after the first
+  // pick from it.
+  auto tight = GroupBounds::Explicit(10, {0, 0, 0, 0}, {10, 10, 10, 1});
+  ASSERT_TRUE(tight.ok());
+  Rng net_rng(23);
+  const UtilityNet net = UtilityNet::SampleRandom(6, 10 * 10 * 6, &net_rng);
+
+  struct LaneCase {
+    const char* name;
+    const GroupBounds* bounds;
+    bool cached;
+    bool strict;
+  };
+  const LaneCase cases[] = {
+      {"cached", &proportional, true, true},
+      {"declined cache", &proportional, false, true},
+      {"multi-round unions", &proportional, true, false},
+      {"tight upper bounds", &*tight, true, true},
+  };
+  for (const LaneCase& c : cases) {
+    auto input = PrepareProblem(data, g, *c.bounds);
+    ASSERT_TRUE(input.ok()) << c.name;
+    BiGreedyOptions opts;
+    opts.strict_feasible = c.strict;
+    Solution one_lane;
+    BiGreedyRunInfo one_lane_info;
+    for (int lanes : {1, 2, 3, 4, 8}) {
+      NetEvaluator eval(&data, &net, input->db_rows, lanes);
+      eval.CacheCandidates(input->pool, c.cached ? 40'000'000 : 1);
+      ASSERT_EQ(eval.cached_row(input->pool.front()) != nullptr, c.cached);
+      opts.threads = lanes;
+      BiGreedyRunInfo info;
+      auto sol = BiGreedyOnNet(*input, &eval, opts, &info);
+      ASSERT_TRUE(sol.ok()) << c.name << " lanes " << lanes;
+      if (lanes == 1) {
+        one_lane = *sol;
+        one_lane_info = info;
+        ASSERT_GE(info.tau_index, 0) << c.name;
+        continue;
+      }
+      EXPECT_EQ(sol->rows, one_lane.rows) << c.name << " lanes " << lanes;
+      EXPECT_EQ(sol->mhr, one_lane.mhr) << c.name << " lanes " << lanes;
+      EXPECT_EQ(info.tau_index, one_lane_info.tau_index)
+          << c.name << " lanes " << lanes;
+      EXPECT_EQ(info.rounds_used, one_lane_info.rounds_used)
+          << c.name << " lanes " << lanes;
+      EXPECT_EQ(info.mrgreedy_calls, one_lane_info.mrgreedy_calls)
+          << c.name << " lanes " << lanes;
+      EXPECT_GE(info.gain_evals, one_lane_info.gain_evals)
+          << c.name << " lanes " << lanes;
+      if (lanes == 4) {
+        EXPECT_LE(static_cast<double>(info.gain_evals),
+                  1.1 * static_cast<double>(one_lane_info.gain_evals))
+            << c.name;
+      }
+    }
+  }
+
+  // BiGreedy+ builds one evaluator per doubled net, each at the requested
+  // lane count.
+  for (bool strict : {true, false}) {
+    BiGreedyPlusOptions opts;
+    opts.base.strict_feasible = strict;
+    Solution one_lane;
+    BiGreedyRunInfo one_lane_info;
+    for (int lanes : {1, 2, 3, 4, 8}) {
+      opts.base.threads = lanes;
+      BiGreedyRunInfo info;
+      auto sol = BiGreedyPlus(data, g, proportional, opts, &info);
+      ASSERT_TRUE(sol.ok()) << "strict " << strict << " lanes " << lanes;
+      if (lanes == 1) {
+        one_lane = *sol;
+        one_lane_info = info;
+        continue;
+      }
+      EXPECT_EQ(sol->rows, one_lane.rows)
+          << "strict " << strict << " lanes " << lanes;
+      EXPECT_EQ(sol->mhr, one_lane.mhr)
+          << "strict " << strict << " lanes " << lanes;
+      EXPECT_EQ(info.tau_index, one_lane_info.tau_index)
+          << "strict " << strict << " lanes " << lanes;
+    }
+  }
+}
+
+TEST(BiGreedyTest, OneLaneGainCountIsPinned) {
+  // At one lane the lazy greedy refreshes one stale entry at a time, so
+  // its exact-gain count on a fixed instance does not move.
+  Rng rng(8);
+  const Dataset data = GenIndependent(2000, 6, &rng);
+  const Grouping g = GroupBySumRank(data, 4);
+  const GroupBounds bounds = GroupBounds::Proportional(10, g.Counts(), 0.2);
+  BiGreedyOptions opts;
+  opts.threads = 1;
+  BiGreedyRunInfo info;
+  auto sol = BiGreedy(data, g, bounds, opts, &info);
+  ASSERT_TRUE(sol.ok());
+  EXPECT_EQ(info.mrgreedy_calls, 9);
+  EXPECT_EQ(info.tau_index, 10);
+  EXPECT_EQ(info.gain_evals, 17460);
+}
+
 TEST(BiGreedyTest, SingleGroupEqualsVanillaHms) {
   // C = 1 with l = 0, h = k reduces FairHMS to HMS; result must be size k.
   Rng rng(11);

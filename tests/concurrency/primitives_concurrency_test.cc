@@ -89,16 +89,30 @@ TEST(OpMetricsConcurrencyTest, RecordAndSnapshotRace) {
   constexpr int kRecorders = 4;
   constexpr int kPerThread = 2000;
 
+  // A snapshot of a full latency window holds the lock far longer than a
+  // record does, so snapshotters that re-take it back to back starve the
+  // recorders on an unfair mutex (seen under -fsanitize=thread). Each
+  // snapshotter therefore waits for kSnapshotEvery new records between
+  // snapshots: the race still interleaves, and the recorders always
+  // progress.
+  constexpr int kSnapshotEvery = 64;
+  std::atomic<int> recorded{0};
   std::atomic<bool> stop{false};
   std::vector<std::thread> snapshotters;
   for (int s = 0; s < 2; ++s) {
     snapshotters.emplace_back([&] {
       uint64_t last_total = 0;
+      int next_at = 0;
       while (!stop.load()) {
+        if (recorded.load() < next_at) {
+          std::this_thread::yield();
+          continue;
+        }
         const OpMetrics::Snapshot snap = metrics.snapshot();
         const uint64_t total = snap.served + snap.failed;
         EXPECT_GE(total, last_total);  // Counters never run backwards.
         last_total = total;
+        next_at = recorded.load() + kSnapshotEvery;
       }
     });
   }
@@ -110,6 +124,7 @@ TEST(OpMetricsConcurrencyTest, RecordAndSnapshotRace) {
           t % 2 == 0 ? ProtocolOp::kQuery : ProtocolOp::kStats;
       for (int i = 0; i < kPerThread; ++i) {
         metrics.Record(op, /*ok=*/i % 10 != 0, /*ms=*/0.25);
+        recorded.fetch_add(1);
       }
     });
   }

@@ -176,16 +176,19 @@ bool SendAll(int fd, const std::string& data) {
 /// the server cancels queued work of disconnected clients, so a premature
 /// shutdown would drop in-flight requests.
 int RunClient(const cli::Flags& flags) {
-  int fd = -1;
-  if (flags.Has("unix")) {
-    fd = ConnectUnix(flags.GetString("unix", ""));
-  } else if (flags.Has("port")) {
-    fd = ConnectTcp(flags.GetString("host", "127.0.0.1"),
-                    static_cast<int>(flags.GetInt("port", 0)));
-  } else {
+  const bool use_unix = flags.Has("unix");
+  if (!use_unix && !flags.Has("port")) {
     return Fail(Status::InvalidArgument(
         "--client needs --unix=PATH or --port=N to connect to"));
   }
+  const std::string unix_path = use_unix ? flags.GetString("unix", "") : "";
+  const std::string host =
+      use_unix ? "" : flags.GetString("host", "127.0.0.1");
+  const int port = use_unix ? 0 : static_cast<int>(flags.GetInt("port", 0));
+  // The connection flags are all the client reads; any daemon flag has no
+  // effect here.
+  cli::WarnUnusedFlags(flags, "fairhms_serve");
+  const int fd = use_unix ? ConnectUnix(unix_path) : ConnectTcp(host, port);
   if (fd < 0) {
     return Fail(Status::Unavailable(
         StrFormat("cannot connect (%s)", std::strerror(errno))));
