@@ -1,9 +1,10 @@
 // bench_parallel_eval: speedup harness for the parallel happiness-evaluation
 // engine. Times the NetEvaluator denominator precompute, the candidate-cache
-// matrix fill, the Mhr net sweep, one cold BiGreedy tau search on a cached
-// evaluator and (optionally) the witness-LP sweep at a grid of thread
-// counts, and prints the perf-CSV report of bench/bench_util.h for
-// tools/bench_to_json.
+// matrix fill (a wide net, and the fair pool against a one-tile net as a
+// cold BiGreedy query builds it), the Mhr net sweep, one cold BiGreedy tau
+// search on a cached evaluator and (optionally) the witness-LP sweep at a
+// grid of thread counts, and prints the perf-CSV report of
+// bench/bench_util.h for tools/bench_to_json.
 //
 // Each op's checksum is a serial digest of the produced values; it must be
 // byte-identical across thread counts (bench_to_json enforces this), which
@@ -33,6 +34,33 @@
 
 namespace fairhms {
 namespace {
+
+/// Direction count of the cache_fill_pool net: BiGreedy's m = 10 * k * d at
+/// k = 10, d = 6, one direction tile plus a tail.
+constexpr size_t kPoolNet = 600;
+
+/// Checksum of a filled candidate cache: every cached row in candidate
+/// order, each folded to its digest sums, then every FullGain.
+std::string CacheDigest(const NetEvaluator& eval,
+                        const std::vector<int>& rows) {
+  const size_t m = eval.net_size();
+  std::vector<double> folded;
+  folded.reserve(3 * rows.size());
+  for (int row : rows) {
+    const double* h = eval.cached_row(row);
+    if (h == nullptr) return "uncached";
+    double sum = 0.0;
+    double alt = 0.0;
+    for (size_t j = 0; j < m; ++j) {
+      sum += h[j];
+      alt += h[j] * static_cast<double>((j % 64) + 1);
+    }
+    folded.push_back(sum);
+    folded.push_back(alt);
+  }
+  for (int row : rows) folded.push_back(eval.FullGain(row));
+  return bench::Digest(folded);
+}
 
 int Run(int argc, char** argv) {
   const cli::Flags flags(argc, argv);
@@ -92,6 +120,9 @@ int Run(int argc, char** argv) {
   Rng tau_net_rng(seed + 3);
   const UtilityNet tau_net = UtilityNet::SampleRandom(
       dim, static_cast<size_t>(10 * k * dim), &tau_net_rng);
+  Rng pool_net_rng(seed + 4);
+  const UtilityNet pool_net =
+      UtilityNet::SampleRandom(dim, kPoolNet, &pool_net_rng);
 
   bench::PrintReportHead(
       "parallel_eval",
@@ -105,6 +136,7 @@ int Run(int argc, char** argv) {
        {"seed", std::to_string(seed)},
        {"tau_pool", std::to_string(tau_input->pool.size())},
        {"tau_net", std::to_string(tau_net.size())},
+       {"pool_net", std::to_string(pool_net.size())},
        {"simd", simd::DispatchLevelName(simd::ActiveLevel())}});
 
   for (int threads : thread_grid) {
@@ -134,10 +166,25 @@ int Run(int argc, char** argv) {
         timer.Start();
         fresh.CacheCandidates(cand_rows);
         timer.Stop();
-        const double* row = fresh.cached_row(cand_rows.front());
-        checksum = row != nullptr ? bench::Digest(row, net_size) : "uncached";
+        checksum = CacheDigest(fresh, cand_rows);
       }
       bench::PrintResult("cache_fill", threads, timer.best_ms(), checksum);
+    }
+
+    // cache_fill_pool: the evaluator build of a cold BiGreedy query — the
+    // tau_search fair pool against a one-tile net.
+    {
+      bench::BestOfReps timer;
+      std::string checksum;
+      for (int r = 0; r < reps; ++r) {
+        NetEvaluator fresh(&tau_data, &pool_net, tau_input->db_rows, threads);
+        timer.Start();
+        fresh.CacheCandidates(tau_input->pool);
+        timer.Stop();
+        checksum = CacheDigest(fresh, tau_input->pool);
+      }
+      bench::PrintResult("cache_fill_pool", threads, timer.best_ms(),
+                         checksum);
     }
 
     // mhr_sweep: full min-over-net sweeps for the solution set. A single

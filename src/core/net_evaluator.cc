@@ -15,6 +15,12 @@ constexpr size_t kTile = simd::kDirTile;
 
 size_t TileCount(size_t m) { return (m + kTile - 1) / kTile; }
 
+/// Matrix cells per row block of the candidate-cache fill: 16384 doubles =
+/// 128 KiB, so a block's rows are still L2-resident when their FullGain is
+/// summed. Sized by cells, not rows, so a 20000-direction net keeps the same
+/// locality as a 480-direction one (one row per block instead of 34).
+constexpr size_t kFillBlockCells = 16384;
+
 }  // namespace
 
 NetEvaluator::NetEvaluator(const Dataset* data, const UtilityNet* net,
@@ -124,33 +130,42 @@ void NetEvaluator::CacheCandidates(const std::vector<int>& rows,
   if (rows.size() * m > max_entries) return;
   const size_t d = static_cast<size_t>(data_->dim());
   cache_offset_.assign(data_->size(), -1);
-  // Uninitialized on purpose: the tile loop below writes every cell
-  // (tiles cover [0, m), the row loop covers every i).
+  // Uninitialized on purpose: the fill below writes every cell (blocks
+  // cover every row, tiles cover [0, m) of each).
   cache_.ResizeUninitialized(rows.size() * m);
   for (size_t i = 0; i < rows.size(); ++i) {
     cache_offset_[static_cast<size_t>(rows[i])] =
         static_cast<int64_t>(i * m);
   }
   const simd::AlignedVector pts = data_->PackRows(rows);
-  // Direction tiles on the outside so one L1-resident net tile serves every
-  // candidate row before the next tile is touched; lanes own disjoint tile
-  // ranges, i.e. disjoint column stripes of the matrix.
-  ParallelFor(threads_, TileCount(m), [&](size_t t0, size_t t1) {
-    for (size_t t = t0; t < t1; ++t) {
-      const size_t j0 = t * kTile;
-      const size_t j1 = std::min(m, j0 + kTile);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        simd::HappinessRange(net_cols_.cols(), j0, j1, &pts[i * d], d,
-                             best_.data(), kDegenerate, &cache_[i * m]);
-      }
-    }
-  });
-  // A second pass over whole rows, since the canonical sum order spans
-  // every tile of a row.
   full_gain_.resize(rows.size());
-  ParallelFor(threads_, rows.size(), [&](size_t i0, size_t i1) {
-    for (size_t i = i0; i < i1; ++i) {
-      full_gain_[i] = simd::TruncSum(&cache_[i * m], m, 1.0);
+  // Lanes own disjoint blocks of candidate rows, i.e. disjoint row bands of
+  // the matrix. Inside a block, direction tiles run on the outside so one
+  // L1-resident net tile serves every row of the block; the block's rows
+  // are then summed into FullGain before the lane moves on, while they are
+  // still in L2. Blocking by rows rather than by direction tiles keeps every
+  // lane busy on the small nets (m <= 2 * kDirTile) that BiGreedy and
+  // BiGreedy+ build per query. Each cell and each sum is the same kernel
+  // call on the same inputs whatever the partition, so the matrix and the
+  // gains are bit-identical for any lane count.
+  const size_t block_rows =
+      std::max<size_t>(1, kFillBlockCells / std::max<size_t>(1, m));
+  const size_t blocks = (rows.size() + block_rows - 1) / block_rows;
+  ParallelFor(threads_, blocks, [&](size_t b0, size_t b1) {
+    for (size_t b = b0; b < b1; ++b) {
+      const size_t i0 = b * block_rows;
+      const size_t i1 = std::min(rows.size(), i0 + block_rows);
+      for (size_t t = 0; t < TileCount(m); ++t) {
+        const size_t j0 = t * kTile;
+        const size_t j1 = std::min(m, j0 + kTile);
+        for (size_t i = i0; i < i1; ++i) {
+          simd::HappinessRange(net_cols_.cols(), j0, j1, &pts[i * d], d,
+                               best_.data(), kDegenerate, &cache_[i * m]);
+        }
+      }
+      for (size_t i = i0; i < i1; ++i) {
+        full_gain_[i] = simd::TruncSum(&cache_[i * m], m, 1.0);
+      }
     }
   });
 }

@@ -23,6 +23,9 @@ namespace fairhms {
 /// ColumnBlock and candidate coordinates in dense row-major packs, so the
 /// hot loops (denominator fill, candidate-cache fill, mhr sweep) run on the
 /// common/simd.h kernel layer in L1-sized direction tiles (simd::kDirTile).
+/// The denominator fill and the mhr sweep split lanes over direction tiles;
+/// the candidate-cache fill splits them over L2-sized blocks of candidate
+/// rows, since its nets are often a single tile.
 /// Every result is bit-identical across thread counts AND across SIMD
 /// dispatch levels (see the bit-identity contract in common/simd.h);
 /// threads = 1 takes the exact serial path.
@@ -63,7 +66,10 @@ class NetEvaluator {
 
   /// Optionally caches the happiness rows of the given candidate rows for
   /// O(m) lookups inside greedy loops, plus each row's FullGain. Caching is
-  /// skipped when it would exceed `max_entries` matrix cells.
+  /// skipped when it would exceed `max_entries` matrix cells. The fill is
+  /// one pass: lanes own disjoint blocks of rows (about 128 KiB of cells
+  /// each), run every direction tile over the block, and sum each row's
+  /// FullGain while the block is still cache-resident.
   void CacheCandidates(const std::vector<int>& rows,
                        size_t max_entries = 40'000'000);
 

@@ -100,5 +100,32 @@ TEST(OpMetricsTest, PartialWraparoundMixesOldAndNew) {
   EXPECT_DOUBLE_EQ(snap.ops[kQuery].p99_ms, 100.0);
 }
 
+TEST(OpMetricsTest, NearestRankPercentilesOfUnsortedWindow) {
+  OpMetrics metrics;
+  // 1..101 recorded out of order (37 is coprime to 101, so i * 37 mod 101
+  // visits every residue once). Nearest rank over 101 sorted samples:
+  // p50 -> index round(0.50 * 100) = 50, p99 -> index round(0.99 * 100) = 99.
+  for (size_t i = 0; i < 101; ++i) {
+    metrics.Record(ProtocolOp::kQuery, true,
+                   static_cast<double>(i * 37 % 101 + 1));
+  }
+  // A second op with its own window: 10 samples 10, 20, ..., 100 in
+  // descending order. p50 -> index round(4.5 + 0.5) = 5, p99 -> index
+  // round(8.91) = 9.
+  for (int v = 100; v >= 10; v -= 10) {
+    metrics.Record(ProtocolOp::kList, true, static_cast<double>(v));
+  }
+  const OpMetrics::Snapshot snap = metrics.snapshot();
+  EXPECT_DOUBLE_EQ(snap.ops[kQuery].p50_ms, 51.0);
+  EXPECT_DOUBLE_EQ(snap.ops[kQuery].p99_ms, 100.0);
+  EXPECT_DOUBLE_EQ(snap.ops[kList].p50_ms, 60.0);
+  EXPECT_DOUBLE_EQ(snap.ops[kList].p99_ms, 100.0);
+  // A snapshot sorts copies, never the ring itself, so repeating it
+  // returns the same values.
+  const OpMetrics::Snapshot again = metrics.snapshot();
+  EXPECT_EQ(again.ops[kQuery].p50_ms, snap.ops[kQuery].p50_ms);
+  EXPECT_EQ(again.ops[kList].p99_ms, snap.ops[kList].p99_ms);
+}
+
 }  // namespace
 }  // namespace fairhms

@@ -359,10 +359,14 @@ TEST(ServeConcurrentTest, SnapshotReloadKeepsQueryResultsStable) {
   EXPECT_EQ(rows_of(pre[0]), rows_of(post[0]));
 
   server.Drain();
-  for (const char* name : {"default.snap", "other.snap"}) {
-    std::remove((std::string(dir) + "/" + name).c_str());
+  // Save writes a .plan sidecar next to every snapshot; the directory only
+  // empties once both files of each dataset are gone.
+  for (const char* name : {"default.snap", "other.snap", "default.snap.plan",
+                           "other.snap.plan"}) {
+    EXPECT_EQ(0, std::remove((std::string(dir) + "/" + name).c_str()))
+        << name;
   }
-  ::rmdir(dir);
+  EXPECT_EQ(0, ::rmdir(dir));
 }
 
 TEST(ServeConcurrentTest, RateLimitRejectsWithResourceExhausted) {
